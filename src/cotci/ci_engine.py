@@ -119,11 +119,9 @@ class CohomologyResult:
 def verify_result(result: CohomologyResult) -> bool:
     """Independent re-check: every basis vector maps to zero under every
     stored constraint matrix (matrix-vector products only)."""
-    for cm in result.constraints:
-        for vec in result.subspace.vectors:
-            if cm.matrix.mul_vec(vec):
-                return False
-    return True
+    return all(
+        apply_to_basis(cm.matrix, result.subspace).nnz() == 0 for cm in result.constraints
+    )
 
 
 # ---------------------------------------------------------------------------

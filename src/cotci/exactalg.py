@@ -107,6 +107,24 @@ def _check_same_field(a, b):
         raise FieldMismatchError(f"mixed fields: {a!r} vs {b!r}")
 
 
+def _mul_indexed(cols, vec, field) -> dict:
+    """Product of the matrix with column index `cols` and a sparse vector."""
+    out = {}
+    for c, x in vec.items():
+        if x == 0:
+            continue
+        for r, v in cols.get(c, ()):
+            w = out.get(r, 0) + v * x
+            if w:
+                out[r] = w
+            else:
+                out.pop(r, None)
+    if field.kind == "Fp":
+        p = field.p
+        out = {r: v % p for r, v in out.items() if v % p}
+    return out
+
+
 class SparseMatrix:
     """Immutable-by-convention sparse matrix; absent entries are zero."""
 
@@ -149,16 +167,11 @@ class SparseMatrix:
         return rows
 
     def col_lists(self):
-        cols = [[] for _ in range(self.ncols)]
+        """Column index {c: [(r, v), ...]} over the nonzero columns, O(nnz)."""
+        cols = {}
         for (r, c), v in self.entries.items():
-            cols[c].append((r, v))
+            cols.setdefault(c, []).append((r, v))
         return cols
-
-    def transpose(self):
-        return SparseMatrix(
-            self.field, self.ncols, self.nrows,
-            {(c, r): v for (r, c), v in self.entries.items()},
-        )
 
     def stack(self, other: "SparseMatrix") -> "SparseMatrix":
         """Vertical stack [self; other]."""
@@ -171,24 +184,11 @@ class SparseMatrix:
         return SparseMatrix(self.field, self.nrows + other.nrows, self.ncols, ent)
 
     def mul_vec(self, vec: dict) -> dict:
-        """Matrix times sparse column vector (dict coord -> value)."""
-        cols = {}
-        for (r, c), v in self.entries.items():
-            cols.setdefault(c, []).append((r, v))
-        out = {}
-        for c, x in vec.items():
-            if x == 0:
-                continue
-            for r, v in cols.get(c, ()):
-                w = out.get(r, 0) + v * x
-                if w:
-                    out[r] = w
-                else:
-                    out.pop(r, None)
-        if self.field.kind == "Fp":
-            p = self.field.p
-            out = {r: v % p for r, v in out.items() if v % p}
-        return out
+        """Matrix times one sparse column vector (dict coord -> value).
+
+        One product: building the column index costs O(nnz) per call, so
+        apply a matrix to many vectors with `apply_to_basis`."""
+        return _mul_indexed(self.col_lists(), vec, self.field)
 
     def nnz(self):
         return len(self.entries)
@@ -208,14 +208,6 @@ class SubspaceBasis:
     @property
     def dim(self):
         return len(self.vectors)
-
-    def as_matrix(self) -> SparseMatrix:
-        """Basis vectors as columns."""
-        ent = {}
-        for j, vec in enumerate(self.vectors):
-            for c, v in vec.items():
-                ent[(c, j)] = v
-        return SparseMatrix(self.field, self.ambient_dim, len(self.vectors), ent)
 
 
 # ---------------------------------------------------------------------------
@@ -388,26 +380,25 @@ def kernel_basis(matrix: SparseMatrix) -> SubspaceBasis:
     reduced echelon form: vector k has coordinate 1 at its own free column
     and 0 at every other free column, so the basis is reproducible
     bit-for-bit and already in reduced form over the free coordinates.
+
+    A reduced pivot row holds its pivot column and free columns only, so the
+    vectors are filled in one walk over the pivot rows: past the elimination
+    the cost is linear in the nnz of the reduced pivot rows.
     """
     rows = _prepared_rows(matrix)
     pivots = _eliminate(rows, matrix.ncols, matrix.field, reduce=True)
     pivot_cols = {c for c, _ in pivots}
-    free_cols = [c for c in range(matrix.ncols) if c not in pivot_cols]
     modp = matrix.field.kind == "Fp"
     p = matrix.field.p if modp else None
-    vectors = []
-    for f in free_cols:
-        vec = {f: 1 if modp else Fraction(1)}
-        for c, r in pivots:
-            w = rows[r].get(f)
-            if w:
-                lead = rows[r][c]
-                if modp:
-                    vec[c] = -w * pow(lead, -1, p) % p
-                else:
-                    vec[c] = Fraction(-w, lead)
-        vectors.append(vec)
-    return SubspaceBasis(matrix.field, matrix.ncols, vectors)
+    one = 1 if modp else Fraction(1)
+    by_free = {f: {f: one} for f in range(matrix.ncols) if f not in pivot_cols}
+    for c, r in pivots:
+        lead = rows[r][c]
+        for f, w in rows[r].items():
+            vec = by_free.get(f)
+            if vec is not None:
+                vec[c] = -w * pow(lead, -1, p) % p if modp else Fraction(-w, lead)
+    return SubspaceBasis(matrix.field, matrix.ncols, list(by_free.values()))
 
 
 def rref_vectors(field, ambient_dim, vectors) -> list:
@@ -501,13 +492,17 @@ def intersect_subspaces(spaces) -> SubspaceBasis:
 
 
 def apply_to_basis(matrix: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
-    """Matrix whose columns are M b_j for the basis vectors b_j."""
+    """Matrix whose columns are M b_j for the basis vectors b_j.
+
+    The way to apply one matrix to many vectors: the column index is built
+    once, in O(nnz), and each product touches only its vector's columns."""
     _check_same_field(matrix.field, basis.field)
     if matrix.ncols != basis.ambient_dim:
         raise DimensionError("matrix/basis dimension mismatch")
+    cols = matrix.col_lists()
     ent = {}
     for j, vec in enumerate(basis.vectors):
-        img = matrix.mul_vec(vec)
+        img = _mul_indexed(cols, vec, matrix.field)
         for r, v in img.items():
             ent[(r, j)] = v
     return SparseMatrix(matrix.field, matrix.nrows, basis.dim, ent)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from cotci.ci_engine import (
     tilde_cohomology,
     verify_result,
 )
+from cotci.exactalg import SubspaceBasis
 from cotci.poly import HomogPoly, deformed_fermat_pair, fermat_generic_system, parse_poly
 
 
@@ -41,6 +43,25 @@ def test_plane_curve_genus():
         assert res.dim == (e - 1) * (e - 2) // 2
         assert res.q == 0
         assert verify_result(res)
+
+
+def test_verify_result_rejects_vector_outside_a_kernel():
+    ci = CompleteIntersectionInput(2, [diagonal_curve(4)])
+    setting = lam.LambdaSetting(2, (4,), ((), (1,)))
+    res = tilde_cohomology(ci, setting, 0)
+    assert verify_result(res)
+    *others, last = [cm.matrix for cm in res.constraints]
+    n = res.subspace.ambient_dim
+    # a coordinate only the last constraint rejects, so the check must reach it
+    j = next(
+        j for j in range(n)
+        if last.mul_vec({j: 1}) and not any(m.mul_vec({j: 1}) for m in others)
+    )
+    good = res.subspace.vectors
+    bad = dict(good[0])
+    bad[j] = bad.get(j, 0) + 1
+    broken = replace(res, subspace=SubspaceBasis(res.subspace.field, n, good[1:] + [bad]))
+    assert not verify_result(broken)
 
 
 def test_result_json_shape():

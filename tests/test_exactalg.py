@@ -9,6 +9,7 @@ from cotci.exactalg import (
     SparseMatrix,
     SpanReducer,
     SubspaceBasis,
+    apply_to_basis,
     contains_vector,
     image_basis,
     intersect_subspaces,
@@ -19,6 +20,9 @@ from cotci.exactalg import (
     subspace_equal,
 )
 from cotci.rng import SplitMix64
+
+
+RANDOM_SHAPES = [(8, 13, 0.2), (40, 25, 0.1), (60, 120, 0.05), (200, 500, 0.015)]
 
 
 def random_sparse(rng, field, nrows, ncols, density=0.05):
@@ -99,14 +103,111 @@ def test_intersect_commutative_associative():
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)])
 def test_rank_nullity_random(field):
     rng = SplitMix64(23)
-    shapes = [(8, 13, 0.2), (40, 25, 0.1), (60, 120, 0.05), (200, 500, 0.015)]
-    for nrows, ncols, density in shapes:
+    for nrows, ncols, density in RANDOM_SHAPES:
         m = random_sparse(rng, field, nrows, ncols, density)
         r = rank(m)
         k = kernel_basis(m)
         assert r + k.dim == ncols
         for vec in k.vectors:
             assert m.mul_vec(vec) == {}
+
+
+def dense_special_solutions(m):
+    """Reference kernel basis by dense Gauss-Jordan elimination: one vector
+    per free column, in column order, with 1 at that column and the negated
+    reduced-row entries at the pivot columns, in pivot order."""
+    p = m.field.p if m.field.kind == "Fp" else None
+
+    def norm(x):
+        return x % p if p else Fraction(x)
+
+    a = [[norm(m.entries.get((r, c), 0)) for c in range(m.ncols)] for r in range(m.nrows)]
+    pivots = []
+    for col in range(m.ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, m.nrows) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        inv = pow(a[top][col], -1, p) if p else 1 / a[top][col]
+        a[top] = [norm(x * inv) for x in a[top]]
+        nz = [(c, y) for c, y in enumerate(a[top]) if y]
+        for r in range(m.nrows):
+            f = a[r][col]
+            if r != top and f:
+                for c, y in nz:
+                    a[r][c] = (a[r][c] - f * y) % p if p else a[r][c] - f * y
+        pivots.append(col)
+    out = []
+    for f in range(m.ncols):
+        if f in pivots:
+            continue
+        vec = {f: norm(1)}
+        for i, c in enumerate(pivots):
+            if a[i][f]:
+                vec[c] = norm(-a[i][f])
+        out.append(vec)
+    return out
+
+
+def assert_kernel_matches_reference(m):
+    got = kernel_basis(m).vectors
+    ref = dense_special_solutions(m)
+    assert got == ref
+    # same free-column order and, inside each vector, the same key order
+    assert [list(v) for v in got] == [list(v) for v in ref]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_kernel_equals_dense_reference_random(field):
+    rng = SplitMix64(23)
+    for nrows, ncols, density in RANDOM_SHAPES:
+        assert_kernel_matches_reference(random_sparse(rng, field, nrows, ncols, density))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_kernel_equals_dense_reference_edge_cases(field):
+    zero = SparseMatrix(field, 3, 5, {})
+    assert_kernel_matches_reference(zero)
+    assert kernel_basis(zero).dim == 5
+    full_col_rank = SparseMatrix.from_rows(field, [[2, 1, 0], [0, 3, 1], [1, 0, 5], [4, 4, 4]])
+    assert_kernel_matches_reference(full_col_rank)
+    assert kernel_basis(full_col_rank).dim == 0
+    # pivot columns 0, 3, 4 with the zero columns 1, 2 and 5 between and
+    # after them; the last row is twice the first
+    gaps = SparseMatrix.from_rows(field, [
+        [3, 0, 0, 1, 2, 0, 7],
+        [0, 0, 0, 5, 0, 0, -1],
+        [0, 0, 0, 0, 9, 0, 2],
+        [6, 0, 0, 2, 4, 0, 14],
+    ])
+    assert_kernel_matches_reference(gaps)
+    assert [next(iter(v)) for v in kernel_basis(gaps).vectors] == [1, 2, 5, 6]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_apply_to_basis_equals_columnwise_product(field):
+    rng = SplitMix64(29)
+    p = field.p if field.kind == "Fp" else None
+    for nrows, ncols, density in RANDOM_SHAPES:
+        m = random_sparse(rng, field, nrows, ncols, density)
+        vectors = [{}, {0: 0, ncols - 1: 1}]
+        for _ in range(6):
+            vectors.append({c: rng.nonzero_coeff() for c in range(ncols) if rng.randint(0, 9) == 0})
+        basis = SubspaceBasis(field, ncols, vectors)
+        ref = {}
+        for j, vec in enumerate(vectors):
+            for r in range(nrows):
+                s = sum(m.entries.get((r, c), 0) * x for c, x in vec.items())
+                if p:
+                    s %= p
+                if s:
+                    ref[(r, j)] = s
+        got = apply_to_basis(m, basis)
+        assert (got.nrows, got.ncols) == (nrows, len(vectors))
+        assert got.entries == ref
+        for j, vec in enumerate(vectors):
+            assert m.mul_vec(vec) == {r: v for (r, k), v in ref.items() if k == j}
 
 
 def test_kernel_vectors_are_reduced_special_solutions():
