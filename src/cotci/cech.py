@@ -64,10 +64,6 @@ class CohomSpace:
         return f"H^{self.ambient_N}(Omega~^({ls})({self.twist}))"
 
 
-def dim(space: CohomSpace) -> int:
-    return space.dim()
-
-
 def _denominator_exponents(N, weight):
     """All I with N+1 entries >= 1 summing to `weight`, canonical order."""
     inner = compositions(weight - (N + 1), N + 1)

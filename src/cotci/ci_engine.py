@@ -27,7 +27,6 @@ from .exactalg import (
     SubspaceBasis,
     apply_to_basis,
     combine_basis,
-    intersect_subspaces,
     kernel_basis,
     rref_vectors,
 )
@@ -118,8 +117,9 @@ class CohomologyResult:
 
 def verify_result(result: CohomologyResult) -> bool:
     """Independent re-check: every basis vector maps to zero under every
-    stored constraint matrix (matrix-vector products only)."""
-    return all(
+    stored constraint matrix (matrix-vector products only). An empty basis
+    passes without indexing any matrix."""
+    return result.subspace.dim == 0 or all(
         apply_to_basis(cm.matrix, result.subspace).nnz() == 0 for cm in result.constraints
     )
 
@@ -128,7 +128,7 @@ def verify_result(result: CohomologyResult) -> bool:
 # kernel intersection driver
 
 
-def intersect_constraint_kernels(maps, start_basis=None, cap=DEFAULT_BASIS_CAP):
+def intersect_constraint_kernels(maps, start_basis=None):
     """Intersect kernels of the given maps, most constraining first.
 
     Maps are applied incrementally to the running subspace so intermediate
@@ -217,7 +217,7 @@ def tilde_cohomology(
     if space.is_zero():
         empty = SubspaceBasis(QQ, 0, [])
         return CohomologyResult(q, space, empty, 0, [])
-    basis, certificate = intersect_constraint_kernels(maps, cap=cap)
+    basis, certificate = intersect_constraint_kernels(maps)
     return CohomologyResult(q, space, basis, basis.dim, certificate, maps)
 
 
@@ -283,7 +283,7 @@ def euler_image(space: CohomSpace, cap=DEFAULT_BASIS_CAP) -> SubspaceBasis:
     if any(l < 1 for l in space.factor_degrees):
         raise EngineError("euler_image needs every factor degree >= 1")
     maps = euler_constraints(space, cap)
-    basis, _ = intersect_constraint_kernels(maps, cap=cap)
+    basis, _ = intersect_constraint_kernels(maps)
     expected = expected_euler_image_dim(space)
     if basis.dim != expected:
         raise EulerCrossCheckError(
@@ -322,9 +322,7 @@ def omega_cohomology(
         )
     if len(cmaps) >= 2:
         euler_image(space, cap)  # mandatory multi-factor cross-check
-    basis, extra_cert = intersect_constraint_kernels(
-        cmaps, start_basis=tilde.subspace, cap=cap
-    )
+    basis, extra_cert = intersect_constraint_kernels(cmaps, start_basis=tilde.subspace)
     return CohomologyResult(
         q,
         space,
@@ -632,7 +630,7 @@ def jump_dimension(e, alpha, beta, avec=(0, 1, 2, 3, 4), cap=DEFAULT_BASIS_CAP):
     F, G = deformed_fermat_pair(e, alpha, beta, avec)
     space = CohomSpace(4, (), -4 * e)
     maps = _pair_partial_constraints(space, F, G, cap)
-    basis, cert = intersect_constraint_kernels(maps, cap=cap)
+    basis, cert = intersect_constraint_kernels(maps)
     return basis.dim, cert
 
 

@@ -35,7 +35,6 @@ class RunConfig:
     params: dict = dc_field(default_factory=dict)
     out: str | None = None
     include_basis: bool = False
-    verbosity: int = 0
     cap: int = DEFAULT_BASIS_CAP
 
     def __post_init__(self):
@@ -159,13 +158,13 @@ def _run_cohomology(cfg: RunConfig):
             payload = result.to_json_dict(include_basis=cfg.include_basis)
             payload["mode"] = "tilde"
             payload["setting"] = setting.serialize()
-        else:
-            bound = ci_engine.simplify_and_bound(ci, setting, a, cap=cfg.cap)
-            payload = bound.result.to_json_dict(include_basis=cfg.include_basis)
-            payload["mode"] = "tilde-lower-bound"
-            payload["setting"] = setting.serialize()
-            payload["simplified_setting"] = bound.setting.serialize()
-        return payload, True
+            return payload, ci_engine.verify_result(result)
+        bound = ci_engine.simplify_and_bound(ci, setting, a, cap=cfg.cap)
+        payload = bound.result.to_json_dict(include_basis=cfg.include_basis)
+        payload["mode"] = "tilde-lower-bound"
+        payload["setting"] = setting.serialize()
+        payload["simplified_setting"] = bound.setting.serialize()
+        return payload, ci_engine.verify_result(bound.result)
     ells = cfg.params.get("ell")
     if not ells:
         raise UsageError("--ell (or --setting) is required")
@@ -181,7 +180,7 @@ def _run_cohomology(cfg: RunConfig):
     payload["mode"] = mode
     payload["ell"] = list(ells)
     payload["equations"] = [f.to_text() for f in eqs]
-    return payload, True
+    return payload, ci_engine.verify_result(result)
 
 
 def _run_witness(cfg: RunConfig):
@@ -357,7 +356,6 @@ def _build_parser():
         p.add_argument("--out", help="report path (stdout when omitted)")
         p.add_argument("--basis", action="store_true", help="include basis vectors")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("-v", "--verbose", action="count", default=0)
 
     p = sub.add_parser("curve", help="plane-curve residue descent and genus")
     p.add_argument("--e", type=int, required=True)
@@ -421,7 +419,7 @@ def _build_parser():
 def _config_from_args(args) -> RunConfig:
     params = {}
     for key, value in vars(args).items():
-        if key in ("command", "out", "basis", "verbose") or value is None:
+        if key in ("command", "out", "basis") or value is None:
             continue
         if key == "e" and isinstance(value, str):
             params["e"] = _int_list(value)
@@ -439,7 +437,6 @@ def _config_from_args(args) -> RunConfig:
         params=params,
         out=args.out,
         include_basis=getattr(args, "basis", False),
-        verbosity=getattr(args, "verbose", 0),
         cap=cap,
     )
 

@@ -7,10 +7,20 @@ extension field (C included), which is why rational arithmetic suffices for
 the cohomology computations downstream. F_p is used for finite-field scanning
 and for fast cross-checks.
 
-Elimination is fraction-free over Q: rows are cleared to integers and updated
-by two-term integer combinations with per-row content stripping, with pivot
-rows chosen by sparsity. All public operations are pure; inputs are never
-mutated.
+All elimination (echelon form, back-reduction, span membership, rank) goes
+through one sparse row update, `_clear`, which clears one column of a row
+with a pivot row, in place. Its invariants:
+
+- over Q, every row is a vector of coprime integers: rows are cleared to
+  integers once, each update is the two-term integer combination
+  a*row - b*prow, and the content is stripped after it;
+- over F_p, every pivot row is monic, so an update is row -= row[col]*prow
+  and no inverse is taken past the choice of the pivot;
+- only the pivot row's columns can enter or leave a row's support, so the
+  column index of the elimination is kept in step by visiting those alone.
+
+Pivot rows are chosen by sparsity. The updates act on fresh working rows, so
+all public operations are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -214,50 +224,85 @@ class SubspaceBasis:
 # elimination core
 
 
-def _int_row(row: dict) -> dict:
-    """Scale a rational row to coprime integers."""
-    lcm = 1
+def _strip_content(row: dict) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = 0
     for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for c in row:
+            row[c] //= g
+
+
+def _field_row(field, vec: dict) -> dict:
+    """A fresh elimination row for a sparse vector: coprime integers over Q,
+    nonzero residues in [0, p) over F_p."""
+    if field.kind == "Fp":
+        p = field.p
+        return {c: v % p for c, v in vec.items() if v % p}
+    lcm = 1
+    for v in vec.values():
         if isinstance(v, Fraction):
             d = v.denominator
             lcm = lcm // gcd(lcm, d) * d
-    out = {}
-    for c, v in row.items():
+    row = {}
+    for c, v in vec.items():
         w = int(v * lcm) if isinstance(v, Fraction) else v * lcm
         if w:
-            out[c] = w
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-        if g == 1:
-            return out
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
-
-
-def _strip_content(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
+            row[c] = w
+    _strip_content(row)
     return row
+
+
+def _clear(row: dict, col, prow: dict, p: int, index=None, key=None) -> None:
+    """Clear column `col` of `row` in place with the pivot row `prow`.
+
+    Over F_p (p > 0) `prow` is monic and the update is row -= row[col]*prow.
+    Over Q (p == 0) it is the two-term integer combination a*row - b*prow
+    with a/b = prow[col]/row[col] in lowest terms, followed by content
+    stripping. Only the columns of `prow` can enter or leave the support of
+    `row`; `index` ({column: set of row keys}), when given, is kept in step
+    for the row `key` by visiting just those columns.
+    """
+    f = row[col]
+    if p:
+        b = f
+    else:
+        g = gcd(prow[col], f)
+        a, b = prow[col] // g, f // g
+        if a != 1:
+            for c in row:
+                row[c] *= a
+    for c, v in prow.items():
+        if c in row:
+            w = (row[c] - b * v) % p if p else row[c] - b * v
+            if w:
+                row[c] = w
+            else:
+                del row[c]
+                if index is not None:
+                    index[c].discard(key)
+        else:
+            row[c] = -b * v % p if p else -b * v
+            if index is not None:
+                index.setdefault(c, set()).add(key)
+    if not p:
+        _strip_content(row)
 
 
 def _eliminate(rows, ncols, field, reduce=True):
     """In-place row echelon with leftmost pivot columns and sparsest-row pivots.
 
-    Returns the pivot list [(col, row_index), ...] in column order. With
-    reduce=True pivot columns are cleared from the other pivot rows as well,
-    so the pivot rows form a (scaled) reduced echelon system. The result is
-    the canonical RREF profile: pivot columns are the leftmost independent
-    ones regardless of the pivot-row choice.
+    Returns the pivot list [(col, row_index), ...] in column order. Over F_p
+    the pivot rows are made monic. With reduce=True pivot columns are cleared
+    from the other pivot rows as well, so the pivot rows form a (scaled)
+    reduced echelon system. The result is the canonical RREF profile: pivot
+    columns are the leftmost independent ones regardless of the pivot-row
+    choice.
     """
-    modp = field.kind == "Fp"
-    p = field.p if modp else None
+    p = field.p if field.kind == "Fp" else 0
     colrows = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -272,104 +317,27 @@ def _eliminate(rows, ncols, field, reduce=True):
         prow = rows[r]
         for c in prow:
             colrows[c].discard(r)
-        plead = prow[col]
-        if modp and plead != 1:
-            inv = pow(plead, -1, p)
-            rows[r] = prow = {c: v * inv % p for c, v in prow.items()}
-            plead = 1
+        if p and prow[col] != 1:
+            inv = pow(prow[col], -1, p)
+            for c in prow:
+                prow[c] = prow[c] * inv % p
         for t in list(cand):
-            trow = rows[t]
-            f = trow.get(col)
-            if not f:
-                continue
-            if modp:
-                new = dict(trow)
-                for c, v in prow.items():
-                    w = (new.get(c, 0) - f * v) % p
-                    if w:
-                        new[c] = w
-                    else:
-                        new.pop(c, None)
-            else:
-                g = gcd(plead, f)
-                a, b = plead // g, f // g
-                if a == 1:
-                    new = dict(trow)
-                else:
-                    new = {c: a * v for c, v in trow.items()}
-                for c, v in prow.items():
-                    w = new.get(c, 0) - b * v
-                    if w:
-                        new[c] = w
-                    else:
-                        new.pop(c, None)
-                new = _strip_content(new)
-            for c in trow:
-                if c not in new:
-                    colrows[c].discard(t)
-            for c in new:
-                if c not in trow:
-                    colrows.setdefault(c, set()).add(t)
-            rows[t] = new
-    if reduce and pivots:
-        pivrows = {r for _, r in pivots}
+            _clear(rows[t], col, prow, p, colrows, t)
+    if reduce:
         colpiv = {}
         for _, r in pivots:
             for c in rows[r]:
                 colpiv.setdefault(c, set()).add(r)
         for col, r in reversed(pivots):
-            prow = rows[r]
-            plead = prow[col]
-            for t in list(colpiv.get(col, ())):
-                if t == r or t not in pivrows:
-                    continue
-                trow = rows[t]
-                f = trow.get(col)
-                if not f:
-                    continue
-                if modp:
-                    new = dict(trow)
-                    for c, v in prow.items():
-                        w = (new.get(c, 0) - f * v) % p
-                        if w:
-                            new[c] = w
-                        else:
-                            new.pop(c, None)
-                else:
-                    g = gcd(plead, f)
-                    a, b = plead // g, f // g
-                    if a == 1:
-                        new = dict(trow)
-                    else:
-                        new = {c: a * v for c, v in trow.items()}
-                    for c, v in prow.items():
-                        w = new.get(c, 0) - b * v
-                        if w:
-                            new[c] = w
-                        else:
-                            new.pop(c, None)
-                    new = _strip_content(new)
-                for c in trow:
-                    if c not in new:
-                        colpiv[c].discard(t)
-                for c in new:
-                    if c not in trow:
-                        colpiv.setdefault(c, set()).add(t)
-                rows[t] = new
+            for t in list(colpiv[col]):
+                if t != r:
+                    _clear(rows[t], col, rows[r], p, colpiv, t)
     return pivots
-
-
-def _prepared_rows(matrix: SparseMatrix):
-    rows = matrix.row_dicts()
-    if matrix.field.kind == "QQ":
-        return [_int_row(r) for r in rows]
-    p = matrix.field.p
-    return [{c: v % p for c, v in r.items() if v % p} for r in rows]
 
 
 def rank(matrix: SparseMatrix) -> int:
     """Rank over the matrix's field."""
-    rows = _prepared_rows(matrix)
+    rows = [_field_row(matrix.field, r) for r in matrix.row_dicts()]
     return len(_eliminate(rows, matrix.ncols, matrix.field, reduce=False))
 
 
@@ -385,19 +353,18 @@ def kernel_basis(matrix: SparseMatrix) -> SubspaceBasis:
     vectors are filled in one walk over the pivot rows: past the elimination
     the cost is linear in the nnz of the reduced pivot rows.
     """
-    rows = _prepared_rows(matrix)
+    rows = [_field_row(matrix.field, r) for r in matrix.row_dicts()]
     pivots = _eliminate(rows, matrix.ncols, matrix.field, reduce=True)
     pivot_cols = {c for c, _ in pivots}
-    modp = matrix.field.kind == "Fp"
-    p = matrix.field.p if modp else None
-    one = 1 if modp else Fraction(1)
+    p = matrix.field.p if matrix.field.kind == "Fp" else 0
+    one = 1 if p else Fraction(1)
     by_free = {f: {f: one} for f in range(matrix.ncols) if f not in pivot_cols}
     for c, r in pivots:
         lead = rows[r][c]
         for f, w in rows[r].items():
             vec = by_free.get(f)
             if vec is not None:
-                vec[c] = -w * pow(lead, -1, p) % p if modp else Fraction(-w, lead)
+                vec[c] = -w % p if p else Fraction(-w, lead)
     return SubspaceBasis(matrix.field, matrix.ncols, list(by_free.values()))
 
 
@@ -407,22 +374,11 @@ def rref_vectors(field, ambient_dim, vectors) -> list:
     Unique for the subspace: leftmost pivot columns, leading coefficient 1,
     pivot columns cleared elsewhere, rows ordered by pivot column.
     """
-    if field.kind == "QQ":
-        rows = [_int_row(dict(v)) for v in vectors]
-    else:
-        p = field.p
-        rows = [{c: x % p for c, x in v.items() if x % p} for v in vectors]
+    rows = [_field_row(field, v) for v in vectors]
     pivots = _eliminate(rows, ambient_dim, field, reduce=True)
-    out = []
-    for c, r in pivots:
-        row = rows[r]
-        lead = row[c]
-        if field.kind == "QQ":
-            out.append({k: Fraction(v, lead) for k, v in row.items()})
-        else:
-            inv = pow(lead, -1, field.p)
-            out.append({k: v * inv % field.p for k, v in row.items()})
-    return out
+    if field.kind == "Fp":
+        return [rows[r] for _, r in pivots]
+    return [{k: Fraction(v, rows[r][c]) for k, v in rows[r].items()} for c, r in pivots]
 
 
 def image_basis(matrix: SparseMatrix) -> SubspaceBasis:
@@ -571,13 +527,8 @@ class SpanReducer:
     def __init__(self, field, ncols, generators):
         self.field = field
         self.ncols = ncols
-        if field.kind == "QQ":
-            rows = [_int_row(dict(g)) for g in generators]
-        else:
-            p = field.p
-            rows = [{c: v % p for c, v in g.items() if v % p} for g in generators]
-        self._pivots = _eliminate(rows, ncols, field, reduce=False)
-        self._rows = rows
+        self._rows = [_field_row(field, g) for g in generators]
+        self._pivots = _eliminate(self._rows, ncols, field, reduce=False)
 
     @property
     def span_rank(self):
@@ -585,38 +536,11 @@ class SpanReducer:
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after reduction against the echelon rows."""
-        if self.field.kind == "QQ":
-            cur = _int_row(dict(vec))
-        else:
-            p = self.field.p
-            cur = {c: v % p for c, v in vec.items() if v % p}
+        p = self.field.p if self.field.kind == "Fp" else 0
+        cur = _field_row(self.field, vec)
         for col, r in self._pivots:
-            f = cur.get(col)
-            if not f:
-                continue
-            prow = self._rows[r]
-            plead = prow[col]
-            if self.field.kind == "Fp":
-                p = self.field.p
-                scale = f * pow(plead, -1, p) % p
-                for c, v in prow.items():
-                    w = (cur.get(c, 0) - scale * v) % p
-                    if w:
-                        cur[c] = w
-                    else:
-                        cur.pop(c, None)
-            else:
-                g = gcd(plead, f)
-                a, b = plead // g, f // g
-                if a != 1:
-                    cur = {c: a * v for c, v in cur.items()}
-                for c, v in prow.items():
-                    w = cur.get(c, 0) - b * v
-                    if w:
-                        cur[c] = w
-                    else:
-                        cur.pop(c, None)
-                cur = _strip_content(cur)
+            if col in cur:
+                _clear(cur, col, self._rows[r], p)
         return cur
 
     def contains(self, vec: dict) -> bool:

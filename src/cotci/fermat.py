@@ -673,11 +673,6 @@ def _projective_points(field, basis_vectors, dim_ambient, limit, rng):
     return points
 
 
-def _matrix_rank_modp(rows, p):
-    field = PrimeField(p)
-    return rank(SparseMatrix.from_rows(field, rows))
-
-
 def base_locus_scan(
     sys: FermatSystem,
     a: int,
@@ -734,15 +729,15 @@ def base_locus_scan(
     spot_done = spot_fail = 0
     subsets = list(itertools.combinations(range(1, sys.c + 1), sys.n))
 
-    def structured_dets(z, xi):
+    def structured_nonsingular(z, xi):
+        # per index subset: is the determinant of its N x N structured matrix
+        # nonzero, i.e. is the matrix of full rank N
         B = build_B(sys, z, field, chart)
         Bp = build_Bprime(sys, z, xi, field, chart)
-        vals = []
-        for sub in subsets:
-            rows = [B[j] for j in range(sys.c)] + [Bp[j - 1] for j in sub]
-            m = [[int(v) for v in row] for row in rows]
-            vals.append(_det_modp(m, p))
-        return vals
+        return [
+            rank(SparseMatrix.from_rows(field, B + [Bp[j - 1] for j in sub])) == N
+            for sub in subsets
+        ]
 
     for z in itertools.product(range(p), repeat=N):
         on_ci = True
@@ -766,11 +761,11 @@ def base_locus_scan(
             jet_points += 1
             in_w = any(z[i] == 0 and xi[i] == 0 for i in range(N))
             B = build_B(sys, z, field, chart)
-            rkB = _matrix_rank_modp(B, p)
+            rkB = rank(SparseMatrix.from_rows(field, B))
             if in_w:
                 counts["in_w"] += 1
                 w_checked += 1
-                if any(v != 0 for v in structured_dets(z, xi)):
+                if any(structured_nonsingular(z, xi)):
                     w_fail += 1
                 continue
             if rkB < sys.c:
@@ -779,14 +774,14 @@ def base_locus_scan(
                 continue
             Bp = build_Bprime(sys, z, xi, field, chart)
             stacked = B + Bp
-            if _matrix_rank_modp(stacked, p) < N:
+            if rank(SparseMatrix.from_rows(field, stacked)) < N:
                 counts["criterion_zero"] += 1
                 candidate.append({"z": list(z), "xi": list(xi), "class": "criterion_zero"})
             else:
                 counts["nonzero"] += 1
                 if spot_done < spot_checks:
                     spot_done += 1
-                    if all(v == 0 for v in structured_dets(z, xi)):
+                    if not any(structured_nonsingular(z, xi)):
                         spot_fail += 1
     return ScanReport(
         p=p,
@@ -806,30 +801,6 @@ def base_locus_scan(
         nonzero_spot_failures=spot_fail,
         hypothesis_warning=warning,
     )
-
-
-def _det_modp(m, p):
-    n = len(m)
-    m = [row[:] for row in m]
-    det = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            f = m[r][col] * inv % p
-            if f:
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-    return det % p
 
 
 # ---------------------------------------------------------------------------
@@ -863,14 +834,14 @@ def genericity_probes(
     for _ in range(trials):
         while True:
             A = [[rng.randint(0, p - 1) for _ in range(p_)] for _ in range(n_)]
-            if _matrix_rank_modp(A, p) == n_:
+            if rank(SparseMatrix.from_rows(field, A)) == n_:
                 break
         B = [[rng.randint(0, p - 1) for _ in range(q_)] for _ in range(p_)]
         AB = [
             [sum(A[i][k] * B[k][j] for k in range(p_)) % p for j in range(q_)]
             for i in range(n_)
         ]
-        if _matrix_rank_modp(AB, p) != min(q_, n_):
+        if rank(SparseMatrix.from_rows(field, AB)) != min(q_, n_):
             drop_i += 1
 
     N, eps, e = claim_shape
@@ -896,7 +867,7 @@ def genericity_probes(
         xi = [rng.randint(1, p - 1) for _ in range(N)]
         for q in range(1, N + 1):
             brow, berow = functional_rows(z, xi, q)
-            if _matrix_rank_modp([brow, berow], p) != 2:
+            if rank(SparseMatrix.from_rows(field, [brow, berow])) != 2:
                 drop_ii += 1
 
     nk, ck, Mk = kj_shape
@@ -905,7 +876,7 @@ def genericity_probes(
         while True:
             L = [rng.randint(0, p - 1) for _ in range(Mk)]
             Lam = [rng.randint(0, p - 1) for _ in range(Mk)]
-            if any(Lam) and _matrix_rank_modp([L, Lam], p) == 2:
+            if any(Lam) and rank(SparseMatrix.from_rows(field, [L, Lam])) == 2:
                 break
         Bmat = [[rng.randint(0, p - 1) for _ in range(ck)] for _ in range(ck)]
         K = []
@@ -918,7 +889,7 @@ def genericity_probes(
                 ]
                 row.extend(block)
             K.append(row)
-        if _matrix_rank_modp(K, p) != ck:
+        if rank(SparseMatrix.from_rows(field, K)) != ck:
             drop_iii += 1
 
     # negative control: a W-point must degenerate the claim-(ii) rank for its q
@@ -927,7 +898,7 @@ def genericity_probes(
     zw[0] = 0
     xiw[0] = 0
     brow, berow = functional_rows(zw, xiw, 1)
-    w_degenerate = _matrix_rank_modp([brow, berow], p) < 2
+    w_degenerate = rank(SparseMatrix.from_rows(field, [brow, berow])) < 2
 
     return {
         "trials": trials,

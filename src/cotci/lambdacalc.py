@@ -166,15 +166,6 @@ def invariants(setting: LambdaSetting) -> dict:
     }
 
 
-def pair_invariants(pair: LambdaPair) -> dict:
-    return {
-        "q": pair.q(),
-        "i": pair.i_counter(),
-        "t": pair.t_bound(),
-        "total": pair.left.total() + pair.right.total(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # degree selectors
 
@@ -300,14 +291,6 @@ def s_step_pair(pair: LambdaPair) -> SuccessorStep:
         "conormal",
         degree,
     )
-
-
-def s1_pair(pair: LambdaPair) -> LambdaPair:
-    return s_step_pair(pair).s1
-
-
-def s2_pair(pair: LambdaPair) -> LambdaPair:
-    return s_step_pair(pair).s2
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .exactalg import QQ, SparseMatrix, rank
 from .rng import SplitMix64
 
 
@@ -436,7 +437,7 @@ def minors_nonzero(rows, up_to):
     """Check that all p x p minors are nonzero for 1 <= p <= up_to.
 
     Returns (True, None) or (False, (p, row_idxs, col_idxs)) naming the first
-    vanishing minor.
+    vanishing minor. A minor vanishes exactly when its submatrix has rank < p.
     """
     from itertools import combinations
 
@@ -445,23 +446,10 @@ def minors_nonzero(rows, up_to):
     for p in range(1, up_to + 1):
         for ri in combinations(range(nrows), p):
             for ci in combinations(range(ncols), p):
-                sub = [[Fraction(rows[r][c]) for c in ci] for r in ri]
-                if _det(sub) == 0:
+                sub = [[rows[r][c] for c in ci] for r in ri]
+                if rank(SparseMatrix.from_rows(QQ, sub)) < p:
                     return False, (p, ri, ci)
     return True, None
-
-
-def _det(sq):
-    n = len(sq)
-    if n == 1:
-        return sq[0][0]
-    total = 0
-    for j in range(n):
-        if sq[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in sq[1:]]
-        total += (-1) ** j * sq[0][j] * _det(minor)
-    return total
 
 
 class MinorVanishingError(ValueError):

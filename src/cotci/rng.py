@@ -46,7 +46,3 @@ class SplitMix64:
         """Small nonzero integer in {-9..9}\\{0}, the package-wide coefficient pool."""
         v = self.randint(1, 18)
         return v - 10 if v <= 9 else v - 9
-
-    def spawn(self, tag: int) -> "SplitMix64":
-        """Independent child stream; deterministic in (seed, tag)."""
-        return SplitMix64(_mix((self.seed ^ (tag * 0xD1B54A32D192ED03)) & _MASK))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 from cotci import cli
 
@@ -188,3 +189,24 @@ def test_witness_membership_failure_exits_2(monkeypatch, tmp_path):
         out=str(tmp_path / "r.json"),
     )
     assert cli.run(cfg) == 2
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"N": 2, "c": 1, "e": [4], "setting": "(N=2; e=4; L0=; L1=1)"},
+        {"N": 3, "c": 2, "e": [2, 3], "setting": "(N=3; e=2,3; L0=; L1=; L2=1)"},
+        {"N": 2, "c": 1, "e": [4], "ell": [2]},
+    ],
+    ids=["tilde", "tilde-lower-bound", "omega"],
+)
+def test_cohomology_recheck_failure_exits_2(monkeypatch, tmp_path, params):
+    # each cohomology branch reports the exact re-check of its result as its
+    # verification status, and still writes the report when it fails
+    monkeypatch.setattr(cli.ci_engine, "verify_result", lambda result: False)
+    out = tmp_path / "r.json"
+    cfg = cli.RunConfig(command="cohomology", params=params, out=str(out))
+    assert cli.run(cfg) == 2
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert report["result"]["dim"] >= 0

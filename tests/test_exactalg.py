@@ -252,13 +252,72 @@ def test_prime_field_validation():
     assert gf.normalize(Fraction(1, 2)) == 6
 
 
+def random_query(rng, ncols):
+    return {c: rng.nonzero_coeff() for c in range(ncols) if rng.randint(0, 9) == 0}
+
+
+def random_combination(rng, gens):
+    out = {}
+    for g in gens:
+        coeff = rng.nonzero_coeff() if rng.randint(0, 2) == 0 else 0
+        for c, v in g.items():
+            out[c] = out.get(c, 0) + coeff * v
+    return {c: v for c, v in out.items() if v}
+
+
 def test_span_reducer():
     gens = [{0: 1, 1: 2}, {1: 1, 2: 1}]
-    red = SpanReducer(QQ, 3, gens)
-    assert red.span_rank == 2
-    assert red.contains({0: 1, 1: 3, 2: 1})
-    assert not red.contains({0: 1})
-    assert red.contains({})
+    rng = SplitMix64(37)
+    for field in (QQ, PrimeField(101)):
+        red = SpanReducer(field, 3, gens)
+        assert red.span_rank == 2
+        assert red.contains({0: 1, 1: 3, 2: 1})
+        assert not red.contains({0: 1})
+        assert red.contains({})
+        for nrows, ncols, density in RANDOM_SHAPES:
+            m = random_sparse(rng, field, nrows, ncols, density)
+            rows = m.row_dicts()
+            red = SpanReducer(field, ncols, rows)
+            basis = SubspaceBasis(field, ncols, rref_vectors(field, ncols, rows))
+            assert red.span_rank == basis.dim == rank(m)
+            for _ in range(4):
+                assert red.reduce(random_combination(rng, rows)) == {}
+                query = random_query(rng, ncols)
+                assert red.contains(query) == contains_vector(basis, query)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_span_reducer_is_pure(field):
+    # reduce works on a fresh copy of its argument and never writes to the
+    # echelon rows, so repeated and interleaved calls agree with a fresh
+    # reducer
+    rng = SplitMix64(41)
+    for nrows, ncols, density in RANDOM_SHAPES:
+        gens = random_sparse(rng, field, nrows, ncols, density).row_dicts()
+        red = SpanReducer(field, ncols, gens)
+        queries = [random_query(rng, ncols) for _ in range(4)]
+        queries.append({c: Fraction(v, 3) for c, v in random_combination(rng, gens).items()})
+        snapshot = [dict(q) for q in queries]
+        first = [red.reduce(q) for q in queries]
+        assert queries == snapshot
+        assert [red.reduce(q) for q in queries] == first
+        assert [SpanReducer(field, ncols, gens).reduce(q) for q in queries] == first
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_elimination_leaves_inputs_unchanged(field):
+    rng = SplitMix64(43)
+    for nrows, ncols, density in RANDOM_SHAPES:
+        m = random_sparse(rng, field, nrows, ncols, density)
+        entries = dict(m.entries)
+        rank(m)
+        kernel_basis(m)
+        assert m.entries == entries
+        vectors = m.row_dicts() + [random_query(rng, ncols)]
+        snapshot = [dict(v) for v in vectors]
+        rref_vectors(field, ncols, vectors)
+        SpanReducer(field, ncols, vectors)
+        assert vectors == snapshot
 
 
 def test_rref_is_canonical():

@@ -115,6 +115,14 @@ def test_vandermonde_rows_all_minors():
     assert minors_nonzero(rows, 3)[0]
 
 
+def test_minors_nonzero_names_first_vanishing_minor():
+    # the third row is twice the second minus the first: every 3x3 minor
+    # vanishes, no smaller one does
+    rows = [[1, 1, 1, 1], [1, 2, 3, 4], [1, 3, 5, 7]]
+    assert minors_nonzero(rows, 3) == (False, (3, (0, 1, 2), (0, 1, 2)))
+    assert minors_nonzero(rows, 2) == (True, None)
+
+
 def test_deformed_fermat_pair_pure():
     F, G = deformed_fermat_pair(5, (0, 0), (0, 0), (0, 1, 2, 3, 4))
     assert F.terms == {tuple(5 if j == i else 0 for j in range(5)): 1 for i in range(5)}
