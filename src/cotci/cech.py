@@ -2,10 +2,12 @@
 
 H^N(P^N, Omega~^{(l_1..l_k)}(a)) is spanned by tensors dZ^{J_1} x ... x dZ^{J_k} / Z^I
 with |J_j| = l_j, every entry of I at least 1 and |I| = l_1 + ... + l_k - a.
-This module enumerates that basis in a canonical order and assembles the three
-families of sparse linear maps on it: multiplication by a polynomial,
+This module enumerates that basis in a canonical order and writes the three
+families of linear maps on it: multiplication by a polynomial,
 multiplication by the differential of a polynomial acting on one tensor
-factor, and the Euler contraction of one tensor factor.
+factor, and the Euler contraction of one tensor factor. Each family is one
+rule (`MapRule`) from which both its sparse matrix and its action on a
+single class are derived.
 
 A product monomial whose denominator exponent drops to 0 or below is the zero
 class (it is a coboundary); that truncation rule is applied uniformly and is
@@ -14,12 +16,13 @@ validated by the plane-curve identities in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .exactalg import QQ, SparseMatrix
-from .poly import HomogPoly, compositions, grevlex_key, mi_sub
+from .poly import HomogPoly, compositions, grevlex_key
 
 DEFAULT_BASIS_CAP = 5_000_000
 
@@ -75,16 +78,21 @@ def _denominator_exponents(N, weight):
 _basis_cache: dict = {}
 
 
-def basis_enumerate(space: CohomSpace, cap: int = DEFAULT_BASIS_CAP):
-    """Ordered basis as tuples (J_1, ..., J_k, I); deterministic order."""
+def check_cap(space: CohomSpace, cap: int = DEFAULT_BASIS_CAP) -> None:
+    """Raise BasisCapExceeded when the basis of `space` is larger than `cap`."""
     d = space.dim()
     if d > cap:
         raise BasisCapExceeded(f"basis size {d} exceeds cap {cap}")
+
+
+def basis_enumerate(space: CohomSpace, cap: int = DEFAULT_BASIS_CAP):
+    """Ordered basis as tuples (J_1, ..., J_k, I); deterministic order."""
+    check_cap(space, cap)
     cached = _basis_cache.get(space)
     if cached is not None:
         return cached
     N = space.ambient_N
-    if d == 0:
+    if space.is_zero():
         _basis_cache[space] = []
         return []
     factor_lists = [compositions(l, N + 1) for l in space.factor_degrees]
@@ -133,6 +141,52 @@ class CohomMap:
         }
 
 
+@dataclass(frozen=True)
+class MapRule:
+    """One linear map on the monomial bases, given by its rule: `terms(el)`
+    lists the (target element, coefficient) terms of the image of the source
+    basis element `el`, with no target element twice.
+
+    `assemble` builds the sparse matrix of the map and `act` applies it to a
+    class; both read the rule, so a map family is written once. `describe`
+    gives the label text; it is called only when the label is read, so a
+    class action does no string work.
+    """
+
+    kind: str
+    source: CohomSpace
+    target: CohomSpace
+    terms: Callable
+    describe: Callable
+
+    @property
+    def label(self) -> str:
+        return self.describe()
+
+    def assemble(self, cap=DEFAULT_BASIS_CAP) -> CohomMap:
+        source_basis = basis_enumerate(self.source, cap)
+        tindex = basis_index(self.target, cap)
+        terms = self.terms
+        entries = {}
+        for col, el in enumerate(source_basis):
+            for tel, coeff in terms(el):
+                entries[(tindex[tel], col)] = coeff
+        matrix = SparseMatrix(QQ, self.target.dim(), self.source.dim(), entries)
+        return CohomMap(self.kind, matrix, self.source, self.target, self.label)
+
+    def act(self, cls: "CohomClass") -> "CohomClass":
+        terms = self.terms
+        out = {}
+        for el, c in cls.coeffs.items():
+            for tel, coeff in terms(el):
+                w = out.get(tel, 0) + c * coeff
+                if w:
+                    out[tel] = w
+                else:
+                    del out[tel]
+        return CohomClass(self.target, out)
+
+
 def _check_poly(space, f: HomogPoly):
     if f.nvars != space.ambient_N + 1:
         raise ValueError(
@@ -140,117 +194,137 @@ def _check_poly(space, f: HomogPoly):
         )
 
 
-def mul_poly_matrix(space: CohomSpace, f: HomogPoly, cap=DEFAULT_BASIS_CAP) -> CohomMap:
-    """Matrix of multiplication by f into the twist raised by deg f.
+def _check_factor(space, factor):
+    if not 1 <= factor <= space.k:
+        raise ValueError(f"factor index {factor} out of range 1..{space.k}")
+
+
+def _monomial_terms(f: HomogPoly):
+    """(coefficient, support of M) per term c*Z^M of f, the support as
+    (i, M_i) pairs; integral coefficients become ints. A denominator I
+    survives the division by Z^M exactly when I_i > M_i on the support of M,
+    since every I_i is at least 1, and only those entries of I change."""
+    return [
+        (QQ.normalize(c), [(i, m) for i, m in enumerate(M) if m])
+        for M, c in f.terms.items()
+    ]
+
+
+def mul_poly_rule(space: CohomSpace, f: HomogPoly) -> MapRule:
+    """Multiplication by f into the twist raised by deg f.
 
     A term 1/Z^{I-M} survives only when every entry of I-M stays >= 1.
     """
     _check_poly(space, f)
     target = CohomSpace(space.ambient_N, space.factor_degrees, space.twist + f.degree)
-    source_basis = basis_enumerate(space, cap)
-    tindex = basis_index(target, cap)
-    entries = {}
-    monos = list(f.terms.items())
-    for col, el in enumerate(source_basis):
+    monos = _monomial_terms(f)
+
+    def terms(el):
         I = el[-1]
-        for M, coeff in monos:
-            Inew = mi_sub(I, M)
-            if min(Inew) >= 1:
-                row = tindex[el[:-1] + (Inew,)]
-                key = (row, col)
-                w = entries.get(key, 0) + coeff
-                if w:
-                    entries[key] = w
-                else:
-                    del entries[key]
-    matrix = SparseMatrix(QQ, target.dim(), space.dim(), entries)
-    return CohomMap("mulF", matrix, space, target, label=f"*({f.to_text()})"[:60])
+        head = el[:-1]
+        out = []
+        for coeff, support in monos:
+            for i, m in support:
+                if I[i] <= m:
+                    break
+            else:
+                Inew = list(I)
+                for i, m in support:
+                    Inew[i] -= m
+                out.append((head + (tuple(Inew),), coeff))
+        return out
+
+    return MapRule("mulF", space, target, terms, lambda: f"*({f.to_text()})"[:60])
 
 
-def mul_dpoly_matrix(
-    space: CohomSpace, f: HomogPoly, factor: int, cap=DEFAULT_BASIS_CAP
-) -> CohomMap:
-    """Matrix of multiplication by df acting on tensor factor `factor` (1-based).
+def mul_dpoly_rule(space: CohomSpace, f: HomogPoly, factor: int) -> MapRule:
+    """Multiplication by df acting on tensor factor `factor` (1-based).
 
     df = sum_m (df/dZ_m) dZ_m; each monomial multiplies the denominator and
-    appends dZ_m to the chosen factor, with the same truncation rule.
+    appends dZ_m to the chosen factor, with the same truncation rule. The
+    partials are taken once, here.
     """
     _check_poly(space, f)
-    if not 1 <= factor <= space.k:
-        raise ValueError(f"factor index {factor} out of range 1..{space.k}")
+    _check_factor(space, factor)
     j = factor - 1
     degs = list(space.factor_degrees)
     degs[j] += 1
     target = CohomSpace(space.ambient_N, tuple(degs), space.twist + f.degree)
-    source_basis = basis_enumerate(space, cap)
-    tindex = basis_index(target, cap)
     partials = []
     for m in range(f.nvars):
         pm = f.partial_derivative(m)
         if not pm.is_zero():
-            partials.append((m, list(pm.terms.items())))
-    entries = {}
-    for col, el in enumerate(source_basis):
+            partials.append((m, _monomial_terms(pm)))
+
+    def terms(el):
         I = el[-1]
         J = el[j]
+        out = []
         for m, monos in partials:
             Jnew = J[:m] + (J[m] + 1,) + J[m + 1 :]
             head = el[:j] + (Jnew,) + el[j + 1 : -1]
-            for M, coeff in monos:
-                Inew = mi_sub(I, M)
-                if min(Inew) >= 1:
-                    row = tindex[head + (Inew,)]
-                    key = (row, col)
-                    w = entries.get(key, 0) + coeff
-                    if w:
-                        entries[key] = w
-                    else:
-                        del entries[key]
-    matrix = SparseMatrix(QQ, target.dim(), space.dim(), entries)
-    return CohomMap(
-        "muldF", matrix, space, target, label=f"*d({f.to_text()})@{factor}"[:60]
-    )
+            for coeff, support in monos:
+                for i, k in support:
+                    if I[i] <= k:
+                        break
+                else:
+                    Inew = list(I)
+                    for i, k in support:
+                        Inew[i] -= k
+                    out.append((head + (tuple(Inew),), coeff))
+        return out
+
+    return MapRule("muldF", space, target, terms, lambda: f"*d({f.to_text()})@{factor}"[:60])
 
 
-def euler_contraction_matrix(
-    space: CohomSpace, factor: int, cap=DEFAULT_BASIS_CAP
-) -> CohomMap:
-    """Matrix of the Euler contraction dZ_i -> Z_i on tensor factor `factor`.
+def euler_contraction_rule(space: CohomSpace, factor: int) -> MapRule:
+    """The Euler contraction dZ_i -> Z_i on tensor factor `factor`.
 
     On monomials: dZ^J -> sum_i J_i dZ^{J - delta_i} with denominator I - delta_i,
     zero class when an exponent drops below 1. Surjective onto the target at
     top cohomology, which the tests assert through rank = dim(target).
     """
-    if not 1 <= factor <= space.k:
-        raise ValueError(f"factor index {factor} out of range 1..{space.k}")
+    _check_factor(space, factor)
     j = factor - 1
     if space.factor_degrees[j] < 1:
         raise ValueError("cannot contract a degree-0 factor")
     degs = list(space.factor_degrees)
     degs[j] -= 1
     target = CohomSpace(space.ambient_N, tuple(degs), space.twist)
-    source_basis = basis_enumerate(space, cap)
-    tindex = basis_index(target, cap)
-    entries = {}
-    for col, el in enumerate(source_basis):
+
+    def terms(el):
         I = el[-1]
         J = el[j]
+        out = []
         for i, ji in enumerate(J):
-            if ji == 0:
-                continue
-            if I[i] <= 1:
+            if ji == 0 or I[i] <= 1:
                 continue
             Jnew = J[:i] + (ji - 1,) + J[i + 1 :]
             Inew = I[:i] + (I[i] - 1,) + I[i + 1 :]
-            row = tindex[el[:j] + (Jnew,) + el[j + 1 : -1] + (Inew,)]
-            key = (row, col)
-            w = entries.get(key, 0) + ji
-            if w:
-                entries[key] = w
-            else:
-                del entries[key]
-    matrix = SparseMatrix(QQ, target.dim(), space.dim(), entries)
-    return CohomMap("contraction", matrix, space, target, label=f"c_{factor}")
+            out.append((el[:j] + (Jnew,) + el[j + 1 : -1] + (Inew,), ji))
+        return out
+
+    return MapRule("contraction", space, target, terms, lambda: f"c_{factor}")
+
+
+def mul_poly_matrix(space: CohomSpace, f: HomogPoly, cap=DEFAULT_BASIS_CAP) -> CohomMap:
+    """Matrix of multiplication by f (see `mul_poly_rule`)."""
+    return mul_poly_rule(space, f).assemble(cap)
+
+
+def mul_dpoly_matrix(
+    space: CohomSpace, f: HomogPoly, factor: int, cap=DEFAULT_BASIS_CAP
+) -> CohomMap:
+    """Matrix of multiplication by df on one tensor factor (see `mul_dpoly_rule`)."""
+    return mul_dpoly_rule(space, f, factor).assemble(cap)
+
+
+def euler_contraction_matrix(
+    space: CohomSpace, factor: int, cap=DEFAULT_BASIS_CAP
+) -> CohomMap:
+    """Matrix of the Euler contraction of one tensor factor
+    (see `euler_contraction_rule`)."""
+    return euler_contraction_rule(space, factor).assemble(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +364,6 @@ class CohomClass:
     def is_zero(self):
         return not self.coeffs
 
-    def to_vector(self, cap=DEFAULT_BASIS_CAP) -> dict:
-        index = basis_index(self.space, cap)
-        return {index[el]: c for el, c in self.coeffs.items()}
-
     def items(self):
         return sorted(
             self.coeffs.items(),
@@ -325,75 +395,14 @@ class CohomClass:
 
 def apply_poly(cls: CohomClass, f: HomogPoly) -> CohomClass:
     """Multiplication by f on a single class (no matrix materialized)."""
-    _check_poly(cls.space, f)
-    target = CohomSpace(
-        cls.space.ambient_N, cls.space.factor_degrees, cls.space.twist + f.degree
-    )
-    out = {}
-    for el, c in cls.coeffs.items():
-        I = el[-1]
-        for M, coeff in f.terms.items():
-            Inew = mi_sub(I, M)
-            if min(Inew) >= 1:
-                key = el[:-1] + (Inew,)
-                w = out.get(key, 0) + c * coeff
-                if w:
-                    out[key] = w
-                else:
-                    del out[key]
-    return CohomClass(target, out)
+    return mul_poly_rule(cls.space, f).act(cls)
 
 
 def apply_dpoly(cls: CohomClass, f: HomogPoly, factor: int) -> CohomClass:
-    _check_poly(cls.space, f)
-    if not 1 <= factor <= cls.space.k:
-        raise ValueError(f"factor index {factor} out of range")
-    j = factor - 1
-    degs = list(cls.space.factor_degrees)
-    degs[j] += 1
-    target = CohomSpace(cls.space.ambient_N, tuple(degs), cls.space.twist + f.degree)
-    out = {}
-    for el, c in cls.coeffs.items():
-        I = el[-1]
-        J = el[j]
-        for m in range(f.nvars):
-            pm = f.partial_derivative(m)
-            if pm.is_zero():
-                continue
-            Jnew = J[:m] + (J[m] + 1,) + J[m + 1 :]
-            head = el[:j] + (Jnew,) + el[j + 1 : -1]
-            for M, coeff in pm.terms.items():
-                Inew = mi_sub(I, M)
-                if min(Inew) >= 1:
-                    key = head + (Inew,)
-                    w = out.get(key, 0) + c * coeff
-                    if w:
-                        out[key] = w
-                    else:
-                        del out[key]
-    return CohomClass(target, out)
+    """Multiplication by df on one tensor factor of a single class."""
+    return mul_dpoly_rule(cls.space, f, factor).act(cls)
 
 
 def apply_contraction(cls: CohomClass, factor: int) -> CohomClass:
-    j = factor - 1
-    degs = list(cls.space.factor_degrees)
-    if degs[j] < 1:
-        raise ValueError("cannot contract a degree-0 factor")
-    degs[j] -= 1
-    target = CohomSpace(cls.space.ambient_N, tuple(degs), cls.space.twist)
-    out = {}
-    for el, c in cls.coeffs.items():
-        I = el[-1]
-        J = el[j]
-        for i, ji in enumerate(J):
-            if ji == 0 or I[i] <= 1:
-                continue
-            Jnew = J[:i] + (ji - 1,) + J[i + 1 :]
-            Inew = I[:i] + (I[i] - 1,) + I[i + 1 :]
-            key = el[:j] + (Jnew,) + el[j + 1 : -1] + (Inew,)
-            w = out.get(key, 0) + c * ji
-            if w:
-                out[key] = w
-            else:
-                del out[key]
-    return CohomClass(target, out)
+    """The Euler contraction of one tensor factor on a single class."""
+    return euler_contraction_rule(cls.space, factor).act(cls)

@@ -131,11 +131,14 @@ def verify_result(result: CohomologyResult) -> bool:
 def intersect_constraint_kernels(maps, start_basis=None):
     """Intersect kernels of the given maps, most constraining first.
 
-    Maps are applied incrementally to the running subspace so intermediate
-    eliminations shrink as constraints bite; applying the largest-target
-    (highest-rank) constraints first keeps the intermediate subspace
-    dimensions low. Returns the canonical basis and a certificate entry per
-    constraint with the rank observed on the subspace it was applied to.
+    Maps are applied incrementally to the running subspace (the whole source,
+    or `start_basis`) so intermediate eliminations shrink as constraints
+    bite; applying the largest-target (highest-rank) constraints first keeps
+    the intermediate subspace dimensions low. Once the running dimension is
+    0, each remaining map is recorded with rank 0 and `applied_on_dim` 0 and
+    is not restricted or eliminated. Returns the canonical basis and a
+    certificate entry per constraint, in the order applied, with the rank
+    observed on the subspace it was applied to.
     """
     if not maps:
         raise EngineError("no constraints to intersect")
@@ -144,18 +147,23 @@ def intersect_constraint_kernels(maps, start_basis=None):
         if m.source != source:
             raise EngineError("constraint sources differ")
     order = sorted(range(len(maps)), key=lambda i: (-maps[i].target.dim(), i))
+    n = source.dim()
     basis = start_basis
     certificate = []
     for idx in order:
         cm = maps[idx]
-        restricted = cm.matrix if basis is None else apply_to_basis(cm.matrix, basis)
-        ker = kernel_basis(restricted)
-        entry = cm.rank_data(restricted.ncols - ker.dim)
-        entry["applied_on_dim"] = restricted.ncols
+        dim = n if basis is None else basis.dim
+        rank_value = 0
+        if dim:
+            restricted = cm.matrix if basis is None else apply_to_basis(cm.matrix, basis)
+            ker = kernel_basis(restricted)
+            rank_value = dim - ker.dim
+            basis = ker if basis is None else combine_basis(basis, ker)
+        entry = cm.rank_data(rank_value)
+        entry["applied_on_dim"] = dim
         certificate.append(entry)
-        basis = ker if basis is None else combine_basis(basis, ker)
-    n = source.dim()
-    canonical = SubspaceBasis(QQ, n, rref_vectors(QQ, n, basis.vectors))
+    vectors = [] if basis is None else basis.vectors
+    canonical = SubspaceBasis(QQ, n, rref_vectors(QQ, n, vectors))
     return canonical, certificate
 
 
@@ -169,21 +177,32 @@ def _factor_position(setting, level, k):
     return sum(len(setting.tuples[m]) for m in range(level)) + k
 
 
-def tilde_constraints(ci: CompleteIntersectionInput, setting, a, cap=DEFAULT_BASIS_CAP):
-    """Target space and the multiplication constraints cutting out the image."""
+def _tilde_multipliers(ci: CompleteIntersectionInput, setting, a):
+    """Target space and, per constraint cutting out the image, (f, factor):
+    multiplication by f when factor is None, else by df on that tensor factor."""
     lim = lam.sigma_lim(setting)
     b = lam.b_sigma(setting)
     space = CohomSpace(ci.ambient_N, lim.tuples[0], a - b)
-    maps = []
+    multipliers = []
     p = setting.codim
     for i in range(1, p + 1):
         f = ci.equations[i - 1]
-        maps.append(cech.mul_poly_matrix(space, f, cap))
+        multipliers.append((f, None))
         for j in range(i, p + 1):
             for k in range(1, len(setting.tuples[j]) + 1):
-                maps.append(
-                    cech.mul_dpoly_matrix(space, f, _factor_position(setting, j, k), cap)
-                )
+                multipliers.append((f, _factor_position(setting, j, k)))
+    return space, multipliers
+
+
+def tilde_constraints(ci: CompleteIntersectionInput, setting, a, cap=DEFAULT_BASIS_CAP):
+    """Target space and the multiplication constraints cutting out the image."""
+    space, multipliers = _tilde_multipliers(ci, setting, a)
+    maps = [
+        cech.mul_poly_matrix(space, f, cap)
+        if factor is None
+        else cech.mul_dpoly_matrix(space, f, factor, cap)
+        for f, factor in multipliers
+    ]
     return space, maps
 
 
@@ -374,7 +393,14 @@ def nonvanishing_witness(
     if not P.is_zero() and P.degree != expected_deg:
         raise EngineError(f"P must have degree {expected_deg}, got {P.degree}")
     ci = fermat_ci(N, setting.codim, e, coeff_rows)
-    space, maps = tilde_constraints(ci, setting, a, cap)
+    space, multipliers = _tilde_multipliers(ci, setting, a)
+    rules = [
+        cech.mul_poly_rule(space, f) if factor is None else cech.mul_dpoly_rule(space, f, factor)
+        for f, factor in multipliers
+    ]
+    for rule in rules:
+        cech.check_cap(rule.source, cap)
+        cech.check_cap(rule.target, cap)
     factors = lim.tuples[0]
     base = tuple(e - 1 for _ in range(N + 1))
     coeffs = {}
@@ -406,15 +432,13 @@ def nonvanishing_witness(
     cls = CohomClass(space, coeffs)
     if cls.is_zero():
         return WitnessResult(cls, False, 0, degenerate=True)
-    vec = cls.to_vector(cap)
-    for cm in maps:
-        image = cm.matrix.mul_vec(vec)
-        if image:
+    for rule in rules:
+        if not rule.act(cls).is_zero():
             raise WitnessMembershipError(
-                f"witness has nonzero image under {cm.kind} {cm.label}; "
+                f"witness has nonzero image under {rule.kind} {rule.label}; "
                 "this indicates an implementation bug"
             )
-    return WitnessResult(cls, True, len(maps))
+    return WitnessResult(cls, True, len(rules))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import ci_engine, fermat as fermat_mod, lambdacalc as lam
-from .cech import DEFAULT_BASIS_CAP
+from .cech import DEFAULT_BASIS_CAP, BasisCapExceeded
 from .poly import HomogPoly, PolyParseError, parse_poly
 
 COMMANDS = ("curve", "cohomology", "witness", "jump", "fermat-verify", "baselocus", "probes")
@@ -311,9 +311,12 @@ def run(config: RunConfig) -> int:
     started = time.time()
     try:
         payload, ok = _RUNNERS[config.command](config)
-    except (UsageError, PolyParseError, ValueError) as exc:
+    except (UsageError, PolyParseError, ValueError, BasisCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ci_engine.EulerCrossCheckError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 2
     report = {
         "artifact_version": __version__,
         "command": config.command,

@@ -44,8 +44,11 @@ class RationalField:
     kind = "QQ"
 
     def normalize(self, x):
+        """An int for an integral value, a Fraction otherwise."""
+        if type(x) is int:
+            return x
         f = Fraction(x)
-        return f
+        return f.numerator if f.denominator == 1 else f
 
     def __repr__(self):
         return "QQ"

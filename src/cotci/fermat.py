@@ -729,11 +729,9 @@ def base_locus_scan(
     spot_done = spot_fail = 0
     subsets = list(itertools.combinations(range(1, sys.c + 1), sys.n))
 
-    def structured_nonsingular(z, xi):
+    def structured_nonsingular(B, Bp):
         # per index subset: is the determinant of its N x N structured matrix
         # nonzero, i.e. is the matrix of full rank N
-        B = build_B(sys, z, field, chart)
-        Bp = build_Bprime(sys, z, xi, field, chart)
         return [
             rank(SparseMatrix.from_rows(field, B + [Bp[j - 1] for j in sub])) == N
             for sub in subsets
@@ -757,15 +755,16 @@ def base_locus_scan(
             for j in range(sys.c)
         ]
         tangent = kernel_basis(SparseMatrix.from_rows(field, rows))
+        # B and its rank depend on the point z alone
+        B = build_B(sys, z, field, chart)
+        rkB = rank(SparseMatrix.from_rows(field, B))
         for xi in _projective_points(field, tangent.vectors, N, xi_limit, rng):
             jet_points += 1
             in_w = any(z[i] == 0 and xi[i] == 0 for i in range(N))
-            B = build_B(sys, z, field, chart)
-            rkB = rank(SparseMatrix.from_rows(field, B))
             if in_w:
                 counts["in_w"] += 1
                 w_checked += 1
-                if any(structured_nonsingular(z, xi)):
+                if any(structured_nonsingular(B, build_Bprime(sys, z, xi, field, chart))):
                     w_fail += 1
                 continue
             if rkB < sys.c:
@@ -773,15 +772,14 @@ def base_locus_scan(
                 candidate.append({"z": list(z), "xi": list(xi), "class": "rank_drop_b"})
                 continue
             Bp = build_Bprime(sys, z, xi, field, chart)
-            stacked = B + Bp
-            if rank(SparseMatrix.from_rows(field, stacked)) < N:
+            if rank(SparseMatrix.from_rows(field, B + Bp)) < N:
                 counts["criterion_zero"] += 1
                 candidate.append({"z": list(z), "xi": list(xi), "class": "criterion_zero"})
             else:
                 counts["nonzero"] += 1
                 if spot_done < spot_checks:
                     spot_done += 1
-                    if not any(structured_nonsingular(z, xi)):
+                    if not any(structured_nonsingular(B, Bp)):
                         spot_fail += 1
     return ScanReport(
         p=p,

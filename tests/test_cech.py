@@ -71,16 +71,47 @@ def test_mul_single_rules():
     assert apply_poly(cls2, z0).is_zero()
 
 
-def test_mul_matrix_matches_class_application():
-    space = CohomSpace(2, (), -6)
-    f = fermat(3, 2)
-    cm = mul_poly_matrix(space, f)
+def assert_matrix_matches_class_action(cm, act):
+    # column j of the matrix is the class action on basis element j
+    space = cm.source
     idx = cech.basis_index(space)
     tgt = cech.basis_index(cm.target)
     for el in basis_enumerate(space):
-        out = apply_poly(CohomClass(space, {el: 1}), f)
+        out = act(CohomClass(space, {el: 1}))
+        assert out.space == cm.target
         vec = cm.matrix.mul_vec({idx[el]: 1})
         assert vec == {tgt[e]: c for e, c in out.coeffs.items()}
+
+
+def test_mul_matrix_matches_class_application():
+    space = CohomSpace(2, (), -6)
+    f = fermat(3, 2)
+    assert_matrix_matches_class_action(
+        mul_poly_matrix(space, f), lambda cls: apply_poly(cls, f)
+    )
+    g = random_homog(SplitMix64(17), 3, 2)
+    g = g + HomogPoly(3, {(1, 1, 0): Fraction(1, 2)})  # a non-integral coefficient
+    assert_matrix_matches_class_action(
+        mul_poly_matrix(space, g), lambda cls: apply_poly(cls, g)
+    )
+
+
+def test_dpoly_matrix_matches_class_application():
+    rng = SplitMix64(88)
+    space = CohomSpace(2, (1, 2), -3)
+    f = random_homog(rng, 3, 3)
+    for factor in (1, 2):
+        assert_matrix_matches_class_action(
+            mul_dpoly_matrix(space, f, factor), lambda cls: apply_dpoly(cls, f, factor)
+        )
+
+
+def test_contraction_matrix_matches_class_application():
+    space = CohomSpace(2, (2, 1), -3)
+    for factor in (1, 2):
+        assert_matrix_matches_class_action(
+            euler_contraction_matrix(space, factor), lambda cls: apply_contraction(cls, factor)
+        )
 
 
 def test_euler_formula_matrix_identity():

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from cotci import lambdacalc as lam
-from cotci.cech import CohomSpace
+from cotci import cech, ci_engine, lambdacalc as lam
+from cotci.cech import BasisCapExceeded, CohomSpace
 from cotci.ci_engine import (
     CompleteIntersectionInput,
     EngineError,
     NonSimpleSettingError,
+    WitnessMembershipError,
+    euler_constraints,
     euler_image,
     expected_euler_image_dim,
     fermat_ci,
+    intersect_constraint_kernels,
     jacobian_spot_check,
     jump_dimension,
     jump_experiment,
@@ -22,7 +25,7 @@ from cotci.ci_engine import (
     tilde_cohomology,
     verify_result,
 )
-from cotci.exactalg import SubspaceBasis
+from cotci.exactalg import QQ, SubspaceBasis
 from cotci.poly import HomogPoly, deformed_fermat_pair, fermat_generic_system, parse_poly
 
 
@@ -273,6 +276,88 @@ def test_monotonicity_of_constraints():
     only1, _ = intersect_constraint_kernels([m1])
     both, _ = intersect_constraint_kernels([m1, m2])
     assert both.dim <= only1.dim
+
+
+# (label, rank, applied_on_dim) of jump_dimension(5, (-8, -8), (-9, -9)), as
+# computed when every map was restricted and eliminated; every map is a
+# multiplication H^4(P^4, O(-20)) (dim 3876) -> H^4(P^4, O(-16)) (dim 1365),
+# and the ninth leaves nothing for the tenth
+JUMP_CERTIFICATE = [
+    ("*(5*Z0^4 - 16*Z0*Z1^3)", 1365, 3876),
+    ("*(-18*Z0*Z1^3)", 870, 2511),
+    ("*(-24*Z0^2*Z1^2 + 5*Z1^4)", 430, 1641),
+    ("*(-27*Z0^2*Z1^2 + 5*Z1^4)", 78, 1211),
+    ("*(5*Z2^4 - 16*Z2*Z3^3)", 591, 1133),
+    ("*(10*Z2^4 - 18*Z2*Z3^3)", 291, 542),
+    ("*(-24*Z2^2*Z3^2 + 5*Z3^4)", 119, 251),
+    ("*(-27*Z2^2*Z3^2 + 15*Z3^4)", 11, 132),
+    ("*(5*Z4^4)", 121, 121),
+    ("*(20*Z4^4)", 0, 0),
+]
+
+
+def count_eliminations(monkeypatch):
+    calls = []
+    for name in ("apply_to_basis", "kernel_basis"):
+        real = getattr(ci_engine, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(ci_engine, name, counting)
+    return calls
+
+
+def test_jump_certificate_ends_with_a_map_applied_on_dim_0(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    d, cert = jump_dimension(5, (-8, -8), (-9, -9))
+    assert d == 0
+    assert [(c["label"], c["rank"], c["applied_on_dim"]) for c in cert] == JUMP_CERTIFICATE
+    assert all(
+        (c["kind"], c["source_dim"], c["target_dim"]) == ("mulF", 3876, 1365) for c in cert
+    )
+    # the running dimension is 0 after the ninth map: the tenth is recorded,
+    # not restricted or eliminated
+    assert calls.count("kernel_basis") == 9
+    assert calls.count("apply_to_basis") == 8
+
+
+def test_zero_start_basis_eliminates_nothing(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    space = CohomSpace(2, (2, 1), -3)
+    basis, cert = intersect_constraint_kernels(
+        euler_constraints(space), start_basis=SubspaceBasis(QQ, space.dim(), [])
+    )
+    assert basis.dim == 0 and basis.ambient_dim == space.dim()
+    assert [(c["kind"], c["rank"], c["applied_on_dim"]) for c in cert] == [
+        ("contraction", 0, 0), ("contraction", 0, 0)
+    ]
+    zero_space = CohomSpace(2, (2, 1), 3)  # denominator weight 0: dim 0
+    basis, cert = intersect_constraint_kernels(euler_constraints(zero_space))
+    assert basis.dim == 0 and [c["applied_on_dim"] for c in cert] == [0, 0]
+    assert calls == []
+
+
+def test_witness_checks_rules_without_building_matrices(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the witness check must not build a matrix")
+
+    monkeypatch.setattr(cech, "mul_poly_matrix", no_matrix)
+    monkeypatch.setattr(cech, "mul_dpoly_matrix", no_matrix)
+    setting = lam.LambdaSetting(4, (5, 5), ((), (), (2,)))
+    res = nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1))
+    assert res.nonzero and res.constraints_checked == 4
+    # an action that keeps the class makes the first constraint reject it
+    monkeypatch.setattr(cech.MapRule, "act", lambda rule, cls: cls)
+    with pytest.raises(WitnessMembershipError, match=r"under mulF \*\("):
+        nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1))
+
+
+def test_witness_checks_the_cap():
+    setting = lam.LambdaSetting(4, (5, 5), ((), (), (2,)))
+    with pytest.raises(BasisCapExceeded, match="exceeds cap 10"):
+        nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1), cap=10)
 
 
 def test_order_invariance():

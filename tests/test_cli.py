@@ -167,6 +167,39 @@ def test_cap_env_override(tmp_path):
         env_extra={"COTCI_CAP": "100"},
     )
     assert code == 1 and "exceeds cap" in err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == ["error: basis size 3876 exceeds cap 100"]
+
+
+def test_cap_between_source_and_largest_target_exits_1(tmp_path):
+    # source dim 20 fits the cap; the largest constraint target (dim 40) does not
+    args = ["cohomology", "--N", "3", "--c", "2", "--e", "2,3",
+            "--setting", "(N=3; e=2,3; L0=; L1=; L2=1)"]
+    code, rep, _ = run_cli(args, tmp_path / "ok.json")
+    assert code == 0
+    assert rep["result"]["ambient_dim"] == 20
+    assert max(c["target_dim"] for c in rep["result"]["constraints"]) == 40
+    code, _, err = run_cli(args, tmp_path / "r.json", env_extra={"COTCI_CAP": "30"})
+    assert code == 1
+    assert err.strip().splitlines() == ["error: basis size 40 exceeds cap 30"]
+
+
+def test_euler_cross_check_failure_exits_2(monkeypatch, capsys, tmp_path):
+    # two positive-degree limit factors, so omega runs the Euler cross-check
+    def mismatch(space, cap=None):
+        raise cli.ci_engine.EulerCrossCheckError("forced mismatch")
+
+    monkeypatch.setattr(cli.ci_engine, "euler_image", mismatch)
+    out = tmp_path / "r.json"
+    cfg = cli.RunConfig(
+        command="cohomology",
+        params={"N": 3, "c": 1, "e": [3], "ell": [2, 2], "a": 1},
+        out=str(out),
+    )
+    assert cli.run(cfg) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["verification failed: forced mismatch"]
+    assert not out.exists()
 
 
 def test_verification_failure_exits_2(monkeypatch, capsys, tmp_path):

@@ -223,6 +223,30 @@ def test_kernel_vectors_are_reduced_special_solutions():
                 assert c not in vec
 
 
+def test_qq_normalize_keeps_integers_as_ints():
+    assert type(QQ.normalize(4)) is int and QQ.normalize(4) == 4
+    assert type(QQ.normalize(Fraction(4, 2))) is int and QQ.normalize(Fraction(4, 2)) == 2
+    assert type(QQ.normalize(Fraction(1, 2))) is Fraction
+    m = SparseMatrix(QQ, 1, 3, {(0, 0): Fraction(6, 3), (0, 1): Fraction(1, 2), (0, 2): 5})
+    assert [type(v) for v in m.entries.values()] == [int, Fraction, int]
+
+
+def test_kernel_unchanged_by_integer_entries():
+    # the kernel of a matrix with int entries equals, vector for vector and
+    # key for key, the kernel of the same matrix with Fraction entries
+    rng = SplitMix64(41)
+    for nrows, ncols, density in RANDOM_SHAPES:
+        m = random_sparse(rng, QQ, nrows, ncols, density)
+        m.entries[(0, 0)] = Fraction(3, 7)
+        assert any(type(v) is int for v in m.entries.values())
+        as_fractions = SparseMatrix(QQ, nrows, ncols)
+        as_fractions.entries = {k: Fraction(v) for k, v in m.entries.items()}
+        got, ref = kernel_basis(m).vectors, kernel_basis(as_fractions).vectors
+        assert got == ref
+        assert [list(v) for v in got] == [list(v) for v in ref]
+        assert all(type(x) is Fraction for v in got for x in v.values())
+
+
 def test_qq_fp_dimension_agreement():
     big = PrimeField((1 << 61) - 1)
     rng = SplitMix64(31)
