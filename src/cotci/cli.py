@@ -42,20 +42,14 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
 
 
-def parse_poly_file(path) -> HomogPoly:
-    """Parse one homogeneous polynomial from a file in the package text format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_poly(fh.read())
-
-
-def _resolve_poly(value, nvars=None) -> HomogPoly:
+def _resolve_poly(value, nvars=None, homogeneous=True):
     """Inline text, or a path to a file holding the polynomial."""
     if value is None:
         raise UsageError("missing polynomial argument")
     if os.path.isfile(value):
         with open(value, "r", encoding="utf-8") as fh:
             value = fh.read()
-    return parse_poly(value, nvars=nvars)
+    return parse_poly(value, nvars=nvars, homogeneous=homogeneous)
 
 
 def _int_list(text):
@@ -66,7 +60,10 @@ def _fraction_pair(text, flag):
     parts = [x.strip() for x in str(text).split(",")]
     if len(parts) != 2:
         raise UsageError(f"{flag} wants two comma-separated rationals")
-    return (Fraction(parts[0]), Fraction(parts[1]))
+    try:
+        return (Fraction(parts[0]), Fraction(parts[1]))
+    except ZeroDivisionError:
+        raise UsageError(f"{flag} has a zero denominator") from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +228,15 @@ def _run_fermat_verify(cfg: RunConfig):
         P = _resolve_poly(cfg.params["P"], nvars=N + 1)
     else:
         P = HomogPoly.constant(N + 1, 1) if maxdeg == 0 else HomogPoly.variable(N + 1, 0, maxdeg)
+    if cfg.params.get("Q"):
+        Q = _resolve_poly(cfg.params["Q"], nvars=N, homogeneous=False)
+    else:
+        Q = P.dehomogenize(0)
     membership = fermat_mod.verify_kernel_membership(sys_, I, P, a)
     reducer = fermat_mod.glue_reducer_for(sys_, I, P)
     glue = {}
     for ja, jb in itertools.combinations(range(N + 1), 2):
         glue[f"{ja},{jb}"] = fermat_mod.verify_glue(sys_, I, P, ja, jb, reducer=reducer)
-    if cfg.params.get("Q"):
-        raw = cfg.params["Q"]
-        if os.path.isfile(raw):
-            with open(raw, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        Q = parse_poly(raw, nvars=N, homogeneous=False)
-    else:
-        Q = P.dehomogenize(0)
     form = fermat_mod.affine_form(sys_, I, Q, a=a)
     wvan = {
         str(i): form.substitute_pair_zero(i).is_zero() for i in range(1, N + 1)

@@ -169,10 +169,6 @@ class SparseMatrix:
                     ent[(r, c)] = v
         return cls(field, nrows, ncols, ent)
 
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, n, n, {(i, i): 1 for i in range(n)})
-
     def row_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
@@ -185,16 +181,6 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             cols.setdefault(c, []).append((r, v))
         return cols
-
-    def stack(self, other: "SparseMatrix") -> "SparseMatrix":
-        """Vertical stack [self; other]."""
-        _check_same_field(self.field, other.field)
-        if self.ncols != other.ncols:
-            raise DimensionError("column mismatch in stack")
-        ent = dict(self.entries)
-        for (r, c), v in other.entries.items():
-            ent[(r + self.nrows, c)] = v
-        return SparseMatrix(self.field, self.nrows + other.nrows, self.ncols, ent)
 
     def mul_vec(self, vec: dict) -> dict:
         """Matrix times one sparse column vector (dict coord -> value).
@@ -384,72 +370,6 @@ def rref_vectors(field, ambient_dim, vectors) -> list:
     return [{k: Fraction(v, rows[r][c]) for k, v in rows[r].items()} for c, r in pivots]
 
 
-def image_basis(matrix: SparseMatrix) -> SubspaceBasis:
-    """Canonical basis (RREF) of the column space; dim = rank."""
-    cols = [dict() for _ in range(matrix.ncols)]
-    for (r, c), v in matrix.entries.items():
-        cols[c][r] = v
-    vecs = rref_vectors(matrix.field, matrix.nrows, [c for c in cols if c])
-    return SubspaceBasis(matrix.field, matrix.nrows, vecs)
-
-
-def intersect_subspaces(spaces) -> SubspaceBasis:
-    """Intersection of subspaces, via the kernel of the stacked membership system.
-
-    Solves B_1 x_1 = B_i x_i for all i simultaneously in one elimination pass
-    and returns the canonical RREF basis of {B_1 x_1}, so the result depends
-    only on the subspaces and not on the input basis choices.
-    """
-    spaces = list(spaces)
-    if not spaces:
-        raise DimensionError("empty intersection list")
-    field = spaces[0].field
-    n = spaces[0].ambient_dim
-    for s in spaces[1:]:
-        _check_same_field(field, s.field)
-        if s.ambient_dim != n:
-            raise DimensionError(f"ambient dims differ: {n} vs {s.ambient_dim}")
-    if len(spaces) == 1:
-        return SubspaceBasis(field, n, rref_vectors(field, n, spaces[0].vectors))
-    dims = [s.dim for s in spaces]
-    if min(dims) == 0:
-        return SubspaceBasis(field, n, [])
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
-    ent = {}
-    k = len(spaces)
-    for blk in range(k - 1):
-        base = blk * n
-        for j, vec in enumerate(spaces[0].vectors):
-            for coord, v in vec.items():
-                ent[(base + coord, j)] = v
-        for j, vec in enumerate(spaces[blk + 1].vectors):
-            for coord, v in vec.items():
-                ent[(base + coord, offsets[blk + 1] + j)] = -v
-    stacked = SparseMatrix(field, (k - 1) * n, offsets[-1], ent)
-    ker = kernel_basis(stacked)
-    first = spaces[0].vectors
-    produced = []
-    for x in ker.vectors:
-        vec = {}
-        for j, coeff in x.items():
-            if j >= dims[0]:
-                continue
-            for coord, v in first[j].items():
-                w = vec.get(coord, 0) + coeff * v
-                if w:
-                    vec[coord] = w
-                else:
-                    vec.pop(coord, None)
-        if field.kind == "Fp":
-            p = field.p
-            vec = {c: v % p for c, v in vec.items() if v % p}
-        if vec:
-            produced.append(vec)
-    return SubspaceBasis(field, n, rref_vectors(field, n, produced))
-
-
 def apply_to_basis(matrix: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
     """Matrix whose columns are M b_j for the basis vectors b_j.
 
@@ -488,26 +408,6 @@ def combine_basis(basis: SubspaceBasis, coeffs: SubspaceBasis) -> SubspaceBasis:
             vec = {c: v % p for c, v in vec.items() if v % p}
         vectors.append(vec)
     return SubspaceBasis(basis.field, basis.ambient_dim, vectors)
-
-
-def subspace_dim_of_sum(a: SubspaceBasis, b: SubspaceBasis) -> int:
-    """dim(A + B), by one rank computation on stacked generators."""
-    _check_same_field(a.field, b.field)
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionError("ambient mismatch")
-    ent = {}
-    for i, vec in enumerate(a.vectors + b.vectors):
-        for c, v in vec.items():
-            ent[(i, c)] = v
-    m = SparseMatrix(a.field, a.dim + b.dim, a.ambient_dim, ent)
-    return rank(m)
-
-
-def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    """Equality as subspaces, tested by mutual containment via ranks."""
-    if a.dim != b.dim:
-        return False
-    return subspace_dim_of_sum(a, b) == a.dim
 
 
 def contains_vector(basis: SubspaceBasis, vec: dict) -> bool:

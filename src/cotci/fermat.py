@@ -240,12 +240,16 @@ def random_fermat_system(N, c, epsilon, e, seed) -> FermatSystem:
 # letters
 
 
-def letters(v: HomogPoly, i: int, e: int):
-    """(a_i(v), alpha_i(v)): Z_i v and the weight-1 form Z_i dv + e v dZ_i."""
+def letters(v, i: int, e: int):
+    """(a_i(v), alpha_i(v)): Z_i v and the weight-1 form Z_i dv + e v dZ_i.
+
+    `v` is a HomogPoly or an AffinePoly; for an AffinePoly in jet
+    coordinates, i = q - 1 gives (b_q(v), beta_q(v)) for the variable z_q.
+    """
     nv = v.nvars
-    a = HomogPoly.variable(nv, i) * v
+    zi = type(v).variable(nv, i)
+    a = zi * v
     terms = {}
-    zi = HomogPoly.variable(nv, i)
     for m in range(nv):
         coeff = zi * v.partial_derivative(m)
         if m == i:
@@ -254,23 +258,6 @@ def letters(v: HomogPoly, i: int, e: int):
             exp = tuple(1 if t == m else 0 for t in range(nv))
             terms[exp] = coeff
     return a, TensorForm(nv, 1, terms)
-
-
-def affine_letters(u: AffinePoly, q: int, e: int):
-    """(b_q(u), beta_q(u)) in jet coordinates; q is 1-based, matching z_q."""
-    nv = u.nvars
-    i = q - 1
-    b = AffinePoly.variable(nv, i) * u
-    terms = {}
-    zq = AffinePoly.variable(nv, i)
-    for m in range(nv):
-        coeff = zq * u.partial_derivative(m)
-        if m == i:
-            coeff = coeff + u.scaled(e)
-        if not coeff.is_zero():
-            exp = tuple(1 if t == m else 0 for t in range(nv))
-            terms[exp] = coeff
-    return b, TensorForm(nv, 1, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +558,13 @@ def affine_form(sys: FermatSystem, I, Q: AffinePoly, chart: int = 0, a: int = 0)
     for j in range(1, sys.c + 1):
         row = []
         for q in range(1, N + 1):
-            b, _ = affine_letters(t[j - 1][q], q, sys.e)
+            b, _ = letters(t[j - 1][q], q - 1, sys.e)
             row.append(TensorForm.scalar(N, b))
         rows.append(row)
     for j in I:
         row = []
         for q in range(1, N + 1):
-            _, be = affine_letters(t[j - 1][q], q, sys.e)
+            _, be = letters(t[j - 1][q], q - 1, sys.e)
             row.append(be)
         rows.append(row)
     det = form_determinant(rows)

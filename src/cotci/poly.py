@@ -381,7 +381,10 @@ def parse_poly(text, nvars=None, homogeneous=True):
             i += 1
             continue
         if kind == "num":
-            coeff = Fraction(val) if "/" not in val else Fraction(*map(int, val.split("/")))
+            num, _, den = val.partition("/")
+            if den and int(den) == 0:
+                raise PolyParseError("zero denominator", ln, col)
+            coeff = Fraction(int(num), int(den) if den else 1)
             if current is None:
                 current = [sign * coeff, {}]
             else:
@@ -389,6 +392,10 @@ def parse_poly(text, nvars=None, homogeneous=True):
             i += 1
         elif kind == "var":
             idx = int(val[1:])
+            if not homogeneous and idx == 0:
+                raise PolyParseError("affine variables start at z1", ln, col)
+            if nvars is not None and idx > (nvars - 1 if homogeneous else nvars):
+                raise PolyParseError(f"variable index exceeds nvars={nvars}", ln, col)
             power = 1
             if i + 2 < len(tokens) and tokens[i + 1][1] == "^" and tokens[i + 1][0] == "op":
                 if tokens[i + 2][0] != "num" or "/" in tokens[i + 2][1]:
@@ -414,16 +421,12 @@ def parse_poly(text, nvars=None, homogeneous=True):
         n = nvars if nvars is not None else max_index + 1
         table = {}
         for coeff, powers in terms:
-            if any(k >= n for k in powers):
-                raise PolyParseError(f"variable index exceeds nvars={n}")
             mono = tuple(powers.get(k, 0) for k in range(n))
             table[mono] = table.get(mono, 0) + coeff
         return HomogPoly(n, table)
     n = nvars if nvars is not None else max(max_index, 0)
     table = {}
     for coeff, powers in terms:
-        if 0 in powers:
-            raise PolyParseError("affine variables start at z1")
         mono = tuple(powers.get(k + 1, 0) for k in range(n))
         table[mono] = table.get(mono, 0) + coeff
     return AffinePoly(n, table)

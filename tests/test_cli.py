@@ -56,13 +56,6 @@ def test_curve_reads_polynomial_file(tmp_path):
     assert code == 0 and rep["result"]["dim"] == 3
 
 
-def test_parse_poly_file_roundtrip(tmp_path):
-    pfile = tmp_path / "poly.txt"
-    pfile.write_text("3/2*Z0^2*Z1 - Z2^3")
-    f = cli.parse_poly_file(pfile)
-    assert f.to_text() == "3/2*Z0^2*Z1 - Z2^3"
-
-
 def test_jump_command(tmp_path):
     code, rep, _ = run_cli(
         ["jump", "--e", "5", "--trials", "1", "--seed", "42"], tmp_path / "r.json"
@@ -120,6 +113,35 @@ def test_fermat_verify_command(tmp_path):
     assert rep["result"]["all_ok"] is True
 
 
+def test_fermat_verify_reads_Q_inline_and_from_file(tmp_path):
+    args = ["fermat-verify", "--N", "3", "--c", "2", "--e", "5", "--seed", "11"]
+    code, inline, _ = run_cli([*args, "--Q", "2*z1 - z3"], tmp_path / "a.json")
+    assert code == 0 and inline["result"]["all_ok"] is True
+    qfile = tmp_path / "q.txt"
+    qfile.write_text("2*z1 - z3\n")
+    code, from_file, _ = run_cli([*args, "--Q", str(qfile)], tmp_path / "b.json")
+    assert code == 0
+    assert from_file["parameters"].pop("Q") == str(qfile)
+    assert inline["parameters"].pop("Q") == "2*z1 - z3"
+    assert strip_wall_time(from_file) == strip_wall_time(inline)
+    # Q reaches the jet form: one degree past the bound is refused
+    qfile.write_text("z1^2")
+    code, _, err = run_cli([*args, "--Q", str(qfile)], tmp_path / "c.json")
+    assert code == 1
+    assert err.strip().splitlines() == ["error: deg Q = 2 exceeds the allowed bound 1"]
+
+
+def test_fermat_verify_rejects_out_of_range_Q_variable(tmp_path):
+    code, rep, err = run_cli(
+        ["fermat-verify", "--N", "4", "--c", "2", "--epsilon", "1", "--e", "9", "--Q", "z9"],
+        tmp_path / "r.json",
+    )
+    assert code == 1 and rep is None
+    assert err.strip().splitlines() == [
+        "error: line 1, column 1: variable index exceeds nvars=4"
+    ]
+
+
 def test_baselocus_command(tmp_path):
     code, rep, _ = run_cli(
         [
@@ -154,6 +176,14 @@ def test_usage_errors_exit_1(tmp_path):
         ["curve", "--e", "4", "--P", "Z0 + Z1^2"], tmp_path / "r.json"
     )
     assert code == 1 and "degrees" in err
+    for args in (
+        ["curve", "--e", "4", "--P", "1/0*Z0"],
+        ["cohomology", "--N", "4", "--c", "2", "--e", "5", "--ell", "2", "--alpha", "1/0,1"],
+    ):
+        code, _, err = run_cli(args, tmp_path / "r.json")
+        assert code == 1 and "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error:") and "zero denominator" in line
     proc = subprocess.run(
         [sys.executable, "-m", "cotci.cli", "nonsense"], capture_output=True, text=True
     )

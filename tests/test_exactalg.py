@@ -10,14 +10,11 @@ from cotci.exactalg import (
     SpanReducer,
     SubspaceBasis,
     apply_to_basis,
+    combine_basis,
     contains_vector,
-    image_basis,
-    intersect_subspaces,
     kernel_basis,
     rank,
     rref_vectors,
-    subspace_dim_of_sum,
-    subspace_equal,
 )
 from cotci.rng import SplitMix64
 
@@ -36,68 +33,19 @@ def random_sparse(rng, field, nrows, ncols, density=0.05):
 
 
 def test_rank_examples():
-    assert rank(SparseMatrix.identity(QQ, 2)) == 2
+    assert rank(SparseMatrix.from_rows(QQ, [[1, 0], [0, 1]])) == 2
     assert rank(SparseMatrix(QQ, 3, 5, {})) == 0
     assert rank(SparseMatrix.from_rows(QQ, [[1, 2], [2, 4]])) == 1
 
 
 def test_kernel_examples():
-    k = kernel_basis(SparseMatrix.identity(QQ, 3))
+    k = kernel_basis(SparseMatrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert k.dim == 0 and k.ambient_dim == 3
     assert kernel_basis(SparseMatrix(QQ, 2, 4, {})).dim == 4
     k = kernel_basis(SparseMatrix.from_rows(QQ, [[1, 1, 0], [0, 0, 1]]))
     assert k.dim == 1
     (v,) = k.vectors
     assert v == {1: Fraction(1), 0: Fraction(-1)}
-
-
-def test_image_examples():
-    assert image_basis(SparseMatrix.identity(QQ, 2)).dim == 2
-    assert image_basis(SparseMatrix(QQ, 3, 3, {})).dim == 0
-    assert image_basis(SparseMatrix.from_rows(QQ, [[1, 2], [2, 4]])).dim == 1
-
-
-def test_intersect_coordinate_subspaces():
-    e = [{i: Fraction(1)} for i in range(3)]
-    full = SubspaceBasis(QQ, 3, e)
-    assert intersect_subspaces([full, full]).dim == 3
-    u = SubspaceBasis(QQ, 3, [e[0], e[1]])
-    v = SubspaceBasis(QQ, 3, [e[1], e[2]])
-    got = intersect_subspaces([u, v])
-    assert got.dim == 1 and got.vectors == [{1: Fraction(1)}]
-
-
-def test_intersect_random_dim_identity():
-    rng = SplitMix64(11)
-    for _ in range(10):
-        def sub():
-            vecs = []
-            for _ in range(3):
-                vecs.append({c: rng.nonzero_coeff() for c in range(5) if rng.randint(0, 1)})
-            vecs = rref_vectors(QQ, 5, vecs)
-            return SubspaceBasis(QQ, 5, vecs)
-
-        u, v = sub(), sub()
-        w = intersect_subspaces([u, v])
-        assert w.dim == u.dim + v.dim - subspace_dim_of_sum(u, v)
-        for vec in w.vectors:
-            assert contains_vector(u, vec) and contains_vector(v, vec)
-
-
-def test_intersect_commutative_associative():
-    rng = SplitMix64(17)
-    vecsets = []
-    for _ in range(3):
-        vecs = [{c: rng.nonzero_coeff() for c in range(6) if rng.randint(0, 2) == 0} for _ in range(3)]
-        vecsets.append(SubspaceBasis(QQ, 6, rref_vectors(QQ, 6, vecs)))
-    a, b, c = vecsets
-    ab_c = intersect_subspaces([intersect_subspaces([a, b]), c])
-    a_bc = intersect_subspaces([a, intersect_subspaces([b, c])])
-    abc = intersect_subspaces([a, b, c])
-    ba = intersect_subspaces([b, a])
-    assert subspace_equal(intersect_subspaces([a, b]), ba)
-    assert subspace_equal(ab_c, a_bc)
-    assert subspace_equal(abc, ab_c)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)])
@@ -259,14 +207,14 @@ def test_qq_fp_dimension_agreement():
 
 
 def test_field_mismatch_error():
-    a = SparseMatrix.identity(QQ, 2)
-    b = SparseMatrix.identity(PrimeField(7), 2)
-    with pytest.raises(FieldMismatchError):
-        a.stack(b)
+    m = SparseMatrix.from_rows(QQ, [[1, 0], [0, 1]])
     u = SubspaceBasis(QQ, 2, [{0: Fraction(1)}])
     v = SubspaceBasis(PrimeField(7), 2, [{0: 1}])
     with pytest.raises(FieldMismatchError):
-        intersect_subspaces([u, v])
+        apply_to_basis(m, v)
+    coeffs = SubspaceBasis(PrimeField(7), 1, [{0: 1}])
+    with pytest.raises(FieldMismatchError):
+        combine_basis(u, coeffs)
 
 
 def test_prime_field_validation():

@@ -9,7 +9,6 @@ from cotci.fermat import (
     FermatSystem,
     TensorForm,
     affine_form,
-    affine_letters,
     base_locus_scan,
     build_B,
     build_Bprime,
@@ -57,7 +56,7 @@ def test_letters_examples():
 
 def test_affine_letters_example():
     one = AffinePoly.constant(2, 1)
-    b, be = affine_letters(one, 1, 5)
+    b, be = letters(one, 0, 5)
     assert b == AffinePoly.variable(2, 0)
     assert be.terms == {(1, 0): AffinePoly.constant(2, 5)}
 
@@ -210,9 +209,9 @@ def test_affine_form_alternating():
     rows = []
     for j in (1, 2):
         rows.append(
-            [TensorForm.scalar(4, affine_letters(t[j - 1][q], q, sys_.e)[0]) for q in range(1, 5)]
+            [TensorForm.scalar(4, letters(t[j - 1][q], q - 1, sys_.e)[0]) for q in range(1, 5)]
         )
-    beta_row = [affine_letters(t[0][q], q, sys_.e)[1] for q in range(1, 5)]
+    beta_row = [letters(t[0][q], q - 1, sys_.e)[1] for q in range(1, 5)]
     rows.append(beta_row)
     rows.append(beta_row)
     assert form_determinant(rows).is_zero()

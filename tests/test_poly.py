@@ -171,6 +171,21 @@ def test_affine_parse():
     assert g.terms == {(2, 0): 1, (0, 1): 2}
 
 
+def test_parse_zero_denominator_reports_position():
+    with pytest.raises(PolyParseError, match="line 2, column 3: zero denominator"):
+        parse_poly("Z0^2\n+ 1/0*Z1^2")
+
+
+def test_parse_rejects_out_of_range_variables():
+    with pytest.raises(PolyParseError, match="column 6: variable index exceeds nvars=4"):
+        parse_poly("z1 + z9", nvars=4, homogeneous=False)
+    assert parse_poly("z4", nvars=4, homogeneous=False).terms == {(0, 0, 0, 1): 1}
+    with pytest.raises(PolyParseError, match="column 1: affine variables start at z1"):
+        parse_poly("z0", nvars=4, homogeneous=False)
+    with pytest.raises(PolyParseError, match="column 6: variable index exceeds nvars=3"):
+        parse_poly("Z0 + Z3", nvars=3)
+
+
 def test_divides_into():
     f = Z(0) + Z(1)
     g = f * (Z(0, 2) + Z(2, 2))
