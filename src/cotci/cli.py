@@ -42,14 +42,14 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
 
 
-def _resolve_poly(value, nvars=None, homogeneous=True):
+def _resolve_poly(value, nvars=None):
     """Inline text, or a path to a file holding the polynomial."""
     if value is None:
         raise UsageError("missing polynomial argument")
     if os.path.isfile(value):
         with open(value, "r", encoding="utf-8") as fh:
             value = fh.read()
-    return parse_poly(value, nvars=nvars, homogeneous=homogeneous)
+    return parse_poly(value, nvars=nvars)
 
 
 def _int_list(text):
@@ -217,6 +217,8 @@ def _run_fermat_verify(cfg: RunConfig):
     eps = cfg.params.get("epsilon", 0)
     e = cfg.params["e"]
     a = cfg.params.get("a", 0)
+    if a < 0:
+        raise UsageError(f"--a must be >= 0, got {a}")
     seed = cfg.params.get("seed", 0)
     sys_ = fermat_mod.random_fermat_system(N, c, eps, e, seed)
     n = N - c
@@ -227,17 +229,17 @@ def _run_fermat_verify(cfg: RunConfig):
     if cfg.params.get("P"):
         P = _resolve_poly(cfg.params["P"], nvars=N + 1)
     else:
-        P = HomogPoly.constant(N + 1, 1) if maxdeg == 0 else HomogPoly.variable(N + 1, 0, maxdeg)
-    if cfg.params.get("Q"):
-        Q = _resolve_poly(cfg.params["Q"], nvars=N, homogeneous=False)
-    else:
-        Q = P.dehomogenize(0)
+        P = HomogPoly.variable(N + 1, 0, maxdeg)
     membership = fermat_mod.verify_kernel_membership(sys_, I, P, a)
+    numerators = [fermat_mod.tilde_cocycle(sys_, I, P, chart) for chart in range(N + 1)]
     reducer = fermat_mod.glue_reducer_for(sys_, I, P)
-    glue = {}
-    for ja, jb in itertools.combinations(range(N + 1), 2):
-        glue[f"{ja},{jb}"] = fermat_mod.verify_glue(sys_, I, P, ja, jb, reducer=reducer)
-    form = fermat_mod.affine_form(sys_, I, Q, a=a)
+    glue = {
+        f"{ja},{jb}": fermat_mod.verify_glue(sys_, numerators, ja, jb, reducer)
+        for ja, jb in itertools.combinations(range(N + 1), 2)
+    }
+    # Q times the determinant vanishes wherever the determinant does, for
+    # every numerator Q, so the check is on the determinant itself
+    form = fermat_mod.affine_form(sys_, I)
     wvan = {
         str(i): form.substitute_pair_zero(i).is_zero() for i in range(1, N + 1)
     }
@@ -348,16 +350,19 @@ def _build_parser():
     parser = _Parser(prog="cotci", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True, basis=False):
+        # each command gets only the flags its runner reads
         p.add_argument("--out", help="report path (stdout when omitted)")
-        p.add_argument("--basis", action="store_true", help="include basis vectors")
-        p.add_argument("--seed", type=int, default=None)
+        if basis:
+            p.add_argument("--basis", action="store_true", help="include basis vectors")
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("curve", help="plane-curve residue descent and genus")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--P", required=True, help="numerator, inline or file (degree e-3)")
     p.add_argument("--F", help="curve equation (default: diagonal of degree e)")
-    common(p)
+    common(p, seed=False)
 
     p = sub.add_parser("cohomology", help="tilde/cotangent cohomology dimensions")
     p.add_argument("--N", type=int, required=True)
@@ -370,13 +375,13 @@ def _build_parser():
     p.add_argument("--alpha", help="deformation pair alpha1,alpha2")
     p.add_argument("--beta", help="deformation pair beta1,beta2")
     p.add_argument("--avec", help="five distinct diagonal coefficients a0..a4")
-    common(p)
+    common(p, basis=True)
 
     p = sub.add_parser("witness", help="explicit non-vanishing residue witness")
     p.add_argument("--setting", required=True)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--P", required=True)
-    common(p)
+    common(p, seed=False, basis=True)
 
     p = sub.add_parser("jump", help="deformation-jump dimensions")
     p.add_argument("--e", type=int, required=True)
@@ -391,7 +396,6 @@ def _build_parser():
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--P", help="numerator (default: a monomial of maximal degree)")
-    p.add_argument("--Q", help="affine numerator for the jet form (default: dehomogenized P)")
     p.add_argument("--I", help="comma list of equation indices (default 1..n)")
     common(p)
 

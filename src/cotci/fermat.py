@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import cech
 from .cech import CohomClass, CohomSpace
 from .exactalg import QQ, PrimeField, SparseMatrix, SpanReducer, kernel_basis, rank
-from .poly import AffinePoly, HomogPoly, compositions, grevlex_key, mi_add
+from .poly import AffinePoly, HomogPoly, compositions, mi_add
 from .rng import SplitMix64
 
 
@@ -108,22 +108,6 @@ class TensorForm:
             and self.weight == other.weight
             and self.terms == other.terms
         )
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]))
-
-    def to_text(self, form_letter="dZ", offset=0):
-        if self.is_zero():
-            return "0"
-        chunks = []
-        for exp, poly in self.items():
-            tag = "*".join(
-                f"{form_letter}{i + offset}" + (f"^{v}" if v > 1 else "")
-                for i, v in enumerate(exp)
-                if v
-            )
-            chunks.append(f"({poly.to_text()})" + (f"*{tag}" if tag else ""))
-        return " + ".join(chunks)
 
 
 def form_determinant(rows):
@@ -311,50 +295,32 @@ def _check_index_tuple(sys, I):
         raise FermatError(f"indices must lie in 1..{sys.c}")
 
 
-@dataclass
-class TildeCocycleEntry:
-    chart: int
-    sign: int
-    numerator: TensorForm  # sign included; divide by Z_chart^r to get the section
-    denominator_power: int
-
-    def to_text(self):
-        return (
-            f"({self.numerator.to_text()}) / Z{self.chart}^{self.denominator_power}"
-        )
+def _letter_determinant(coeffs, I, columns, e) -> TensorForm:
+    """Determinant with one row of scalar letters per coefficient row and one
+    row of form letters per index of I. `columns` lists (k, i) pairs: the
+    column takes the letters of coeffs[j - 1][k] in variable i."""
+    grid = [[letters(row[k], i, e) for k, i in columns] for row in coeffs]
+    nvars = coeffs[0][0].nvars
+    rows = [[TensorForm.scalar(nvars, a) for a, _ in line] for line in grid]
+    rows += [[al for _, al in grid[j - 1]] for j in I]
+    return form_determinant(rows)
 
 
-def tilde_cocycle(sys: FermatSystem, I, P: HomogPoly, chart: int) -> TildeCocycleEntry:
-    """Chart representative of the determinantal section: (-1)^chart P times
-    the determinant with the c a-rows and the n alpha-rows of I, column
-    `chart` deleted, divided by Z_chart^{e-1}."""
+def tilde_cocycle(sys: FermatSystem, I, P: HomogPoly, chart: int) -> TensorForm:
+    """Numerator of the chart representative of the determinantal section:
+    (-1)^chart P times the determinant with the c a-rows and the n alpha-rows
+    of I, column `chart` deleted. The section is this over Z_chart^{e-1}."""
     _check_index_tuple(sys, I)
     N = sys.ambient_N
     if not 0 <= chart <= N:
         raise FermatError("chart out of range")
-    if not P.is_zero():
-        a = sys.e - P.degree - N * sys.epsilon - N - 1
-        if a < 0:
-            raise FermatError(
-                f"deg P = {P.degree} exceeds the bound {sys.max_p_degree(0)}"
-            )
-    cols = [i for i in range(N + 1) if i != chart]
-    rows = []
-    for j in range(1, sys.c + 1):
-        row = []
-        for i in cols:
-            a_i, _ = letters(sys.s[j - 1][i], i, sys.e)
-            row.append(TensorForm.scalar(N + 1, a_i))
-        rows.append(row)
-    for j in I:
-        row = []
-        for i in cols:
-            _, al = letters(sys.s[j - 1][i], i, sys.e)
-            row.append(al)
-        rows.append(row)
-    det = form_determinant(rows)
-    num = det.poly_scaled(P).scaled((-1) ** chart)
-    return TildeCocycleEntry(chart, (-1) ** chart, num, sys.r)
+    if not P.is_zero() and P.degree > sys.max_p_degree(0):
+        raise FermatError(
+            f"deg P = {P.degree} exceeds the bound {sys.max_p_degree(0)}"
+        )
+    columns = [(i, i) for i in range(N + 1) if i != chart]
+    det = _letter_determinant(sys.s, I, columns, sys.e)
+    return det.poly_scaled(P).scaled((-1) ** chart)
 
 
 def verify_kernel_membership(sys: FermatSystem, I, P: HomogPoly, a: int) -> bool:
@@ -434,15 +400,13 @@ class GlueReducer:
                     vec[idx] = vec.get(idx, 0) + coeff
             return vec
 
-        self._vec_of = vec_of
-        pending = []
         for j in range(1, sys.c + 1):
             f = sys.equation(j)
             for wexp in w_full:
                 for mono in z_monos:
                     shifted = {mi_add(m, mono): cf for m, cf in f.terms.items()}
                     poly = HomogPoly(N + 1, shifted)
-                    pending.append(TensorForm(N + 1, weight, {wexp: poly}))
+                    generators.append(vec_of(TensorForm(N + 1, weight, {wexp: poly})))
         for j in I:
             df = _dform(sys.equation(j))
             for wexp in w_less:
@@ -450,9 +414,7 @@ class GlueReducer:
                 prod = df * base
                 for mono in z_monos_d:
                     shift = HomogPoly.monomial(mono)
-                    pending.append(prod.poly_scaled(shift))
-        for form in pending:
-            generators.append(vec_of(form))
+                    generators.append(vec_of(prod.poly_scaled(shift)))
         ncols = len(self._row_index)
         self._reducer = SpanReducer(QQ, ncols, generators)
 
@@ -468,39 +430,28 @@ class GlueReducer:
         return self._reducer.contains(vec)
 
 
-def glue_difference(sys, I, P, chart_a, chart_b) -> TensorForm:
-    ca = tilde_cocycle(sys, I, P, chart_a)
-    cb = tilde_cocycle(sys, I, P, chart_b)
-    za = HomogPoly.variable(sys.ambient_N + 1, chart_a, sys.r)
-    zb = HomogPoly.variable(sys.ambient_N + 1, chart_b, sys.r)
-    return ca.numerator.poly_scaled(zb) - cb.numerator.poly_scaled(za)
+def glue_reducer_for(sys: FermatSystem, I, P: HomogPoly) -> GlueReducer:
+    """Shared reducer for all chart pairs of one (system, I, P). The cleared
+    differences have weight n and coefficient degree
+    r + deg P + c (epsilon + 1) + n epsilon: r from the cleared Z^r, epsilon + 1
+    from each a-letter and epsilon from each alpha-letter."""
+    _check_index_tuple(sys, I)
+    deg = sys.r + (P.degree if not P.is_zero() else 0) \
+        + sys.c * (sys.epsilon + 1) + sys.n * sys.epsilon
+    return GlueReducer(sys, I, deg, sys.n)
 
 
-def verify_glue(sys: FermatSystem, I, P: HomogPoly, chart_a: int, chart_b: int,
-                reducer: GlueReducer | None = None) -> bool:
+def verify_glue(sys: FermatSystem, numerators, chart_a: int, chart_b: int,
+                reducer: GlueReducer) -> bool:
     """Whether the two chart representatives agree on the overlap: the cleared
     difference must lie in the ideal spanned by the equations and the
-    differentials of I's equations in its graded piece."""
-    _check_index_tuple(sys, I)
-    diff = glue_difference(sys, I, P, chart_a, chart_b)
-    if diff.is_zero():
-        return True
-    some_poly = next(iter(diff.terms.values()))
-    if reducer is None:
-        reducer = GlueReducer(sys, I, some_poly.degree, diff.weight)
-    return reducer.contains(diff)
-
-
-def glue_reducer_for(sys: FermatSystem, I, P: HomogPoly) -> GlueReducer:
-    """Shared reducer for all chart pairs of one (system, I, P)."""
-    diff = glue_difference(sys, I, P, 0, 1)
-    if diff.is_zero():
-        # fall back to the degree bookkeeping
-        deg = sys.r + (P.degree if not P.is_zero() else 0) \
-            + sys.c * (sys.epsilon + 1) + sys.n * sys.epsilon
-        return GlueReducer(sys, I, deg, sys.n)
-    some_poly = next(iter(diff.terms.values()))
-    return GlueReducer(sys, I, some_poly.degree, diff.weight)
+    differentials of I's equations in its graded piece. `numerators[k]` is
+    the `tilde_cocycle` numerator of chart k, and `reducer` comes from
+    `glue_reducer_for` with the same I and P."""
+    za = HomogPoly.variable(sys.ambient_N + 1, chart_a, sys.r)
+    zb = HomogPoly.variable(sys.ambient_N + 1, chart_b, sys.r)
+    diff = numerators[chart_a].poly_scaled(zb) - numerators[chart_b].poly_scaled(za)
+    return diff.is_zero() or reducer.contains(diff)
 
 
 # ---------------------------------------------------------------------------
@@ -540,36 +491,15 @@ class AffineSymmetricForm:
                 terms[exp] = newpoly
         return AffineSymmetricForm(self.xi_degree, TensorForm(self.form.form_nvars, self.form.weight, terms))
 
-    def to_text(self):
-        return self.form.to_text(form_letter="xi", offset=1)
 
-
-def affine_form(sys: FermatSystem, I, Q: AffinePoly, chart: int = 0, a: int = 0) -> AffineSymmetricForm:
-    """Q times the full N x N determinant of b-rows and beta-rows in the jet
-    chart; homogeneous of degree n in the jet direction."""
+def affine_form(sys: FermatSystem, I) -> AffineSymmetricForm:
+    """The full N x N determinant of b-rows and beta-rows in the chart-0 jet
+    coordinates z_q = Z_q/Z_0; homogeneous of degree n in the jet direction.
+    A numerator Q only multiplies it, so where it vanishes every Q-multiple
+    vanishes too."""
     _check_index_tuple(sys, I)
-    N = sys.ambient_N
-    if Q.max_degree > max(sys.max_p_degree(a), 0):
-        raise FermatError(
-            f"deg Q = {Q.max_degree} exceeds the allowed bound {sys.max_p_degree(a)}"
-        )
-    t = sys.dehom_coeffs(chart)
-    rows = []
-    for j in range(1, sys.c + 1):
-        row = []
-        for q in range(1, N + 1):
-            b, _ = letters(t[j - 1][q], q - 1, sys.e)
-            row.append(TensorForm.scalar(N, b))
-        rows.append(row)
-    for j in I:
-        row = []
-        for q in range(1, N + 1):
-            _, be = letters(t[j - 1][q], q - 1, sys.e)
-            row.append(be)
-        rows.append(row)
-    det = form_determinant(rows)
-    out = det.poly_scaled(Q) if not Q.is_zero() else TensorForm(N, sys.n, {})
-    return AffineSymmetricForm(sys.n, out)
+    columns = [(q, q - 1) for q in range(1, sys.ambient_N + 1)]
+    return AffineSymmetricForm(sys.n, _letter_determinant(sys.dehom_coeffs(0), I, columns, sys.e))
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +603,10 @@ def base_locus_scan(
     """Enumerate jet points of the chart-0 intersection over F_p and classify
     them by the rank criterion. Points outside the tautological vanishing
     locus W whose forms all vanish are the candidate exceptional set, emitted
-    for fixture freezing; nothing about its size is asserted."""
+    for fixture freezing; nothing about its size is asserted. The twist `a`
+    must leave a numerator degree, or no form of that twist exists."""
+    if sys.max_p_degree(a) < 0:
+        raise FermatError(f"twist a={a} leaves no numerator degree")
     field = PrimeField(p)
     N = sys.ambient_N
     if p**N > cap:

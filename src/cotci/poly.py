@@ -261,10 +261,6 @@ class AffinePoly(_PolyBase):
         mono = tuple(power if j == i else 0 for j in range(nvars))
         return cls(nvars, {mono: 1})
 
-    @property
-    def max_degree(self):
-        return max((mi_weight(m) for m in self.terms), default=0)
-
     def __add__(self, other):
         return AffinePoly(self.nvars, self._combine(other, 1))
 
@@ -332,31 +328,33 @@ class PolyParseError(ValueError):
         self.column = column
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[Zz]\d+)|(?P<op>[-+*^()]))")
+_TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<var>Z\d+)|(?P<op>[-+*^()])")
 
 
-def parse_poly(text, nvars=None, homogeneous=True):
-    """Parse the package text format into a HomogPoly (or AffinePoly).
+def parse_poly(text, nvars=None):
+    """Parse the package text format into a HomogPoly.
 
-    Variables are Z0..ZN for homogeneous input, z1..zN for affine input. The
-    variable count is inferred from the highest index used unless given.
+    Variables are Z0..ZN. The variable count is inferred from the highest
+    index used unless given.
     """
     tokens = []
     pos = 0
     line = 1
     line_start = 0
     while pos < len(text):
-        if text[pos] == "\n":
+        ch = text[pos]
+        if ch == "\n":
             line += 1
             line_start = pos + 1
             pos += 1
             continue
+        if ch.isspace():
+            pos += 1
+            continue
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise PolyParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        tokens.append((m.lastgroup, m.group(m.lastgroup), line, m.start(m.lastgroup) - line_start + 1))
+        if not m:
+            raise PolyParseError(f"unexpected character {ch!r}", line, pos - line_start + 1)
+        tokens.append((m.lastgroup, m.group(), line, pos - line_start + 1))
         pos = m.end()
     terms = []  # list of (coeff, {varindex: power})
     sign = 1
@@ -392,9 +390,7 @@ def parse_poly(text, nvars=None, homogeneous=True):
             i += 1
         elif kind == "var":
             idx = int(val[1:])
-            if not homogeneous and idx == 0:
-                raise PolyParseError("affine variables start at z1", ln, col)
-            if nvars is not None and idx > (nvars - 1 if homogeneous else nvars):
+            if nvars is not None and idx >= nvars:
                 raise PolyParseError(f"variable index exceeds nvars={nvars}", ln, col)
             power = 1
             if i + 2 < len(tokens) and tokens[i + 1][1] == "^" and tokens[i + 1][0] == "op":
@@ -417,19 +413,12 @@ def parse_poly(text, nvars=None, homogeneous=True):
         flush()
     if not terms:
         raise PolyParseError("empty polynomial")
-    if homogeneous:
-        n = nvars if nvars is not None else max_index + 1
-        table = {}
-        for coeff, powers in terms:
-            mono = tuple(powers.get(k, 0) for k in range(n))
-            table[mono] = table.get(mono, 0) + coeff
-        return HomogPoly(n, table)
-    n = nvars if nvars is not None else max(max_index, 0)
+    n = nvars if nvars is not None else max_index + 1
     table = {}
     for coeff, powers in terms:
-        mono = tuple(powers.get(k + 1, 0) for k in range(n))
+        mono = tuple(powers.get(k, 0) for k in range(n))
         table[mono] = table.get(mono, 0) + coeff
-    return AffinePoly(n, table)
+    return HomogPoly(n, table)
 
 
 # ---------------------------------------------------------------------------

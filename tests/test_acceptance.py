@@ -28,10 +28,11 @@ from cotci.fermat import (
     genericity_probes,
     glue_reducer_for,
     random_fermat_system,
+    tilde_cocycle,
     verify_glue,
     verify_kernel_membership,
 )
-from cotci.poly import AffinePoly, HomogPoly, fermat_generic_system
+from cotci.poly import HomogPoly, fermat_generic_system
 from cotci.rng import SplitMix64
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -151,12 +152,13 @@ def test_criterion_06_determinantal_verification():
     P = HomogPoly.constant(5, 1)
     I = (1, 2)
     membership = verify_kernel_membership(sys_, I, P, 0)
+    numerators = [tilde_cocycle(sys_, I, P, chart) for chart in range(5)]
     reducer = glue_reducer_for(sys_, I, P)
     glue_all = all(
-        verify_glue(sys_, I, P, a, b, reducer=reducer)
+        verify_glue(sys_, numerators, a, b, reducer)
         for a, b in itertools.combinations(range(5), 2)
     )
-    form = affine_form(sys_, I, AffinePoly.constant(4, 1))
+    form = affine_form(sys_, I)
     w_vanishes = all(form.substitute_pair_zero(i).is_zero() for i in range(1, 5))
     elapsed = time.time() - start
     ok = membership and glue_all and w_vanishes

@@ -113,40 +113,65 @@ def test_fermat_verify_command(tmp_path):
     assert rep["result"]["all_ok"] is True
 
 
-def test_fermat_verify_reads_Q_inline_and_from_file(tmp_path):
+def test_fermat_verify_reads_P_inline_and_from_file(tmp_path):
     args = ["fermat-verify", "--N", "3", "--c", "2", "--e", "5", "--seed", "11"]
-    code, inline, _ = run_cli([*args, "--Q", "2*z1 - z3"], tmp_path / "a.json")
+    code, inline, _ = run_cli([*args, "--P", "2*Z1 - Z3"], tmp_path / "a.json")
     assert code == 0 and inline["result"]["all_ok"] is True
-    qfile = tmp_path / "q.txt"
-    qfile.write_text("2*z1 - z3\n")
-    code, from_file, _ = run_cli([*args, "--Q", str(qfile)], tmp_path / "b.json")
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("2*Z1 - Z3\n")
+    code, from_file, _ = run_cli([*args, "--P", str(pfile)], tmp_path / "b.json")
     assert code == 0
-    assert from_file["parameters"].pop("Q") == str(qfile)
-    assert inline["parameters"].pop("Q") == "2*z1 - z3"
+    assert from_file["parameters"].pop("P") == str(pfile)
+    assert inline["parameters"].pop("P") == "2*Z1 - Z3"
     assert strip_wall_time(from_file) == strip_wall_time(inline)
-    # Q reaches the jet form: one degree past the bound is refused
-    qfile.write_text("z1^2")
-    code, _, err = run_cli([*args, "--Q", str(qfile)], tmp_path / "c.json")
+    # P reaches the verification: a degree other than the bound is refused
+    pfile.write_text("Z1^2")
+    code, _, err = run_cli([*args, "--P", str(pfile)], tmp_path / "c.json")
     assert code == 1
-    assert err.strip().splitlines() == ["error: deg Q = 2 exceeds the allowed bound 1"]
+    assert err.strip().splitlines() == ["error: P must have degree 1, got 2"]
 
 
-def test_fermat_verify_rejects_out_of_range_Q_variable(tmp_path):
+def test_fermat_verify_rejects_out_of_range_P_variable(tmp_path):
     code, rep, err = run_cli(
-        ["fermat-verify", "--N", "4", "--c", "2", "--epsilon", "1", "--e", "9", "--Q", "z9"],
+        ["fermat-verify", "--N", "4", "--c", "2", "--epsilon", "1", "--e", "9", "--P", "Z9"],
         tmp_path / "r.json",
     )
     assert code == 1 and rep is None
     assert err.strip().splitlines() == [
-        "error: line 1, column 1: variable index exceeds nvars=4"
+        "error: line 1, column 1: variable index exceeds nvars=5"
     ]
+
+
+def test_fermat_verify_rejects_negative_a_before_any_work(monkeypatch, capsys, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("fermat-verify did work for a < 0")
+
+    monkeypatch.setattr(cli.fermat_mod, "random_fermat_system", no_work)
+    out = tmp_path / "r.json"
+    cfg = cli.RunConfig(
+        command="fermat-verify",
+        params={"N": 3, "c": 2, "e": 5, "seed": 11, "a": -1},
+        out=str(out),
+    )
+    assert cli.run(cfg) == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error: --a must be >= 0, got -1"]
+    assert not out.exists()
+
+
+def test_baselocus_rejects_a_twist_without_forms(tmp_path):
+    # e = 7 leaves numerator degree 0 at a = 0; a = 50 leaves none
+    args = ["baselocus", "--N", "3", "--c", "2", "--epsilon", "1", "--e", "7",
+            "--prime", "5", "--seed", "21"]
+    code, rep, err = run_cli([*args, "--a", "50"], tmp_path / "r.json")
+    assert code == 1 and rep is None
+    assert err.strip().splitlines() == ["error: twist a=50 leaves no numerator degree"]
 
 
 def test_baselocus_command(tmp_path):
     code, rep, _ = run_cli(
         [
             "baselocus",
-            "--N", "3", "--c", "2", "--epsilon", "1", "--e", "5",
+            "--N", "3", "--c", "2", "--epsilon", "1", "--e", "7",
             "--prime", "5", "--seed", "21",
         ],
         tmp_path / "r.json",
@@ -188,6 +213,30 @@ def test_usage_errors_exit_1(tmp_path):
         [sys.executable, "-m", "cotci.cli", "nonsense"], capture_output=True, text=True
     )
     assert proc.returncode == 1
+
+
+# every command except cohomology ignores one of --seed and --basis, so it
+# does not take it
+DEAD_FLAGS = [
+    (["curve", "--e", "4", "--P", "Z0"], ["--seed", "3"]),
+    (["curve", "--e", "4", "--P", "Z0"], ["--basis"]),
+    (["witness", "--setting", "(N=4; e=5,5; L0=; L1=; L2=2)", "--P", "1"], ["--seed", "3"]),
+    (["jump", "--e", "5", "--trials", "1"], ["--basis"]),
+    (["fermat-verify", "--N", "3", "--c", "2", "--e", "5"], ["--basis"]),
+    (["baselocus", "--N", "3", "--c", "2", "--e", "7", "--prime", "5"], ["--basis"]),
+    (["probes", "--trials", "5"], ["--basis"]),
+]
+
+
+@pytest.mark.parametrize(
+    "args, flag", DEAD_FLAGS, ids=[f"{args[0]}{flag[0]}" for args, flag in DEAD_FLAGS]
+)
+def test_flags_a_command_does_not_read_exit_1(args, flag, capsys):
+    cli._build_parser().parse_args(args)  # valid without the flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, *flag])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_cap_env_override(tmp_path):

@@ -14,7 +14,6 @@ from cotci.fermat import (
     build_Bprime,
     form_determinant,
     genericity_probes,
-    glue_difference,
     glue_reducer_for,
     letters,
     random_fermat_system,
@@ -39,6 +38,16 @@ CRIT6 = dict(N=4, c=2, epsilon=1, e=9, seed=20260811)
 
 def crit6_system():
     return random_fermat_system(CRIT6["N"], CRIT6["c"], CRIT6["epsilon"], CRIT6["e"], CRIT6["seed"])
+
+
+def chart_numerators(sys_, I, P):
+    return [tilde_cocycle(sys_, I, P, chart) for chart in range(sys_.ambient_N + 1)]
+
+
+def cleared_difference(sys_, numerators, a, b):
+    za = HomogPoly.variable(sys_.ambient_N + 1, a, sys_.r)
+    zb = HomogPoly.variable(sys_.ambient_N + 1, b, sys_.r)
+    return numerators[a].poly_scaled(zb) - numerators[b].poly_scaled(za)
 
 
 def test_letters_examples():
@@ -83,14 +92,12 @@ def test_tilde_cocycle_repeated_rows_vanish():
     rows = [[1, 2, 3, 4], [1, 2, 3, 4]]
     grid = tuple(tuple(HomogPoly.constant(4, v) for v in row) for row in rows)
     sys_ = FermatSystem(3, 2, 0, 5, grid)
-    c = tilde_cocycle(sys_, (1,), HomogPoly.constant(4, 1), 0)
-    assert c.numerator.is_zero()
+    assert tilde_cocycle(sys_, (1,), HomogPoly.constant(4, 1), 0).is_zero()
 
 
 def test_tilde_cocycle_zero_numerator():
     sys_ = crit6_system()
-    c = tilde_cocycle(sys_, (1, 2), HomogPoly.zero(5), 0)
-    assert c.numerator.is_zero()
+    assert tilde_cocycle(sys_, (1, 2), HomogPoly.zero(5), 0).is_zero()
 
 
 def test_tilde_cocycle_plane_curve_specialization():
@@ -111,7 +118,7 @@ def test_tilde_cocycle_plane_curve_specialization():
         vertex_form = descent.chart_cocycles[chart]["form"]
         # descent vertex: sign * (P/(e F_chart)) * sum coeff dZ_m; clearing
         # F_chart = e s Z^r, both sides live over Z_chart^r
-        for exp, poly in det.numerator.terms.items():
+        for exp, poly in det.terms.items():
             m = exp.index(1)
             want_text = vertex_form.get(f"dZ{m}")
             assert want_text is not None
@@ -164,45 +171,88 @@ def test_glue_plane_curve_and_corrupted_sign():
     s = (2, 3, 5)
     sys_ = constant_system(2, 1, 4, [list(s)])
     P = HomogPoly.variable(3, 0)
+    nums = chart_numerators(sys_, (1,), P)
     red = glue_reducer_for(sys_, (1,), P)
     for a, b in itertools.combinations(range(3), 2):
-        assert verify_glue(sys_, (1,), P, a, b, reducer=red)
+        assert verify_glue(sys_, nums, a, b, red)
     # corrupting the relative sign must break the gluing
-    ca = tilde_cocycle(sys_, (1,), P, 0)
-    cb = tilde_cocycle(sys_, (1,), P, 1)
     za = HomogPoly.variable(3, 0, sys_.r)
     zb = HomogPoly.variable(3, 1, sys_.r)
-    bad = ca.numerator.poly_scaled(zb) + cb.numerator.poly_scaled(za)
+    bad = nums[0].poly_scaled(zb) + nums[1].poly_scaled(za)
     assert not red.contains(bad)
 
 
 def test_glue_small_codim_two():
     sys_ = random_fermat_system(3, 2, 0, 4, seed=11)
     P = HomogPoly.constant(4, 1)  # max degree at a=0 is e-N-1 = 0
+    nums = chart_numerators(sys_, (1,), P)
     red = glue_reducer_for(sys_, (1,), P)
     for a, b in itertools.combinations(range(4), 2):
-        assert verify_glue(sys_, (1,), P, a, b, reducer=red)
+        assert verify_glue(sys_, nums, a, b, red)
 
 
 def test_glue_difference_is_nonzero_before_reduction():
     sys_ = crit6_system()
-    d = glue_difference(sys_, (1, 2), HomogPoly.constant(5, 1), 0, 1)
-    assert not d.is_zero()
+    nums = chart_numerators(sys_, (1, 2), HomogPoly.constant(5, 1))
+    assert not cleared_difference(sys_, nums, 0, 1).is_zero()
+
+
+@pytest.mark.parametrize(
+    "sys_, I, P",
+    [
+        (crit6_system(), (1, 2), HomogPoly.constant(5, 1)),
+        (crit6_system(), (2, 1), HomogPoly.constant(5, 1)),
+        (random_fermat_system(3, 2, 0, 5, seed=11), (1,), HomogPoly.variable(4, 2)),
+        (constant_system(2, 1, 4, [[2, 3, 5]]), (1,), HomogPoly.variable(3, 0)),
+    ],
+    ids=["crit6", "crit6-swapped", "N3-deg1", "plane-curve"],
+)
+def test_glue_reducer_degree_matches_every_difference(sys_, I, P):
+    # glue_reducer_for reads its graded piece off the degree formula; every
+    # nonzero cleared difference must live in exactly that piece
+    deg = sys_.r + P.degree + sys_.c * (sys_.epsilon + 1) + sys_.n * sys_.epsilon
+    nums = chart_numerators(sys_, I, P)
+    red = glue_reducer_for(sys_, I, P)
+    nonzero = 0
+    for a, b in itertools.combinations(range(sys_.ambient_N + 1), 2):
+        diff = cleared_difference(sys_, nums, a, b)
+        assert diff.weight == sys_.n
+        assert {poly.degree for poly in diff.terms.values()} <= {deg}
+        nonzero += not diff.is_zero()
+        assert verify_glue(sys_, nums, a, b, red)
+    assert nonzero > 0
 
 
 def test_affine_form_w_vanishing_symbolic():
     sys_ = crit6_system()
-    form = affine_form(sys_, (1, 2), AffinePoly.constant(4, 1))
+    form = affine_form(sys_, (1, 2))
     assert form.xi_degree == 2
+    assert not form.is_zero()
     for i in range(1, 5):
+        assert form.substitute_pair_zero(i).is_zero()
+
+
+@pytest.mark.parametrize(
+    "sys_, I",
+    [
+        (random_fermat_system(3, 2, 0, 5, seed=11), (1,)),
+        (random_fermat_system(4, 3, 0, 6, seed=5), (3,)),
+    ],
+    ids=["N3", "N4-c3"],
+)
+def test_affine_form_is_nonzero_and_vanishes_on_every_pair(sys_, I):
+    # the W-vanishing check tests the determinant itself, so it cannot pass
+    # vacuously on a zero form
+    form = affine_form(sys_, I)
+    assert not form.is_zero()
+    for i in range(1, sys_.ambient_N + 1):
         assert form.substitute_pair_zero(i).is_zero()
 
 
 def test_affine_form_alternating():
     sys_ = crit6_system()
-    Q = AffinePoly.constant(4, 1)
-    f12 = affine_form(sys_, (1, 2), Q)
-    f21 = affine_form(sys_, (2, 1), Q)
+    f12 = affine_form(sys_, (1, 2))
+    f21 = affine_form(sys_, (2, 1))
     assert f21.form == f12.form.scaled(-1)
     # a repeated index corresponds to a repeated determinant row: zero
     t = sys_.dehom_coeffs(0)
@@ -217,15 +267,9 @@ def test_affine_form_alternating():
     assert form_determinant(rows).is_zero()
 
 
-def test_affine_form_zero_numerator():
-    sys_ = crit6_system()
-    assert affine_form(sys_, (1, 2), AffinePoly.zero(4)).is_zero()
-
-
 def test_affine_form_matches_numeric_determinant():
     sys_ = random_fermat_system(3, 2, 1, 6, seed=9)
-    Q = AffinePoly.constant(3, 1)
-    form = affine_form(sys_, (1,), Q)
+    form = affine_form(sys_, (1,))
     rng = SplitMix64(55)
     for field in (QQ, PrimeField(101)):
         for _ in range(5):
@@ -252,7 +296,7 @@ def _plain_det(rows, field):
 
 
 def test_scan_small_instance():
-    sys_ = random_fermat_system(3, 2, 1, 5, seed=21)
+    sys_ = random_fermat_system(3, 2, 1, 7, seed=21)
     rep = base_locus_scan(sys_, 0, 5, seed=21)
     assert rep.w_vanishing_failures == 0
     assert rep.nonzero_spot_failures == 0
@@ -266,9 +310,9 @@ def test_scan_small_instance():
 
 def test_scan_degenerate_equal_rows():
     # two identical coefficient rows force rank B <= 1 everywhere
-    rng_sys = random_fermat_system(3, 2, 1, 5, seed=33)
+    rng_sys = random_fermat_system(3, 2, 1, 7, seed=33)
     grid = (rng_sys.s[0], rng_sys.s[0])
-    sys_ = FermatSystem(3, 2, 1, 5, grid)
+    sys_ = FermatSystem(3, 2, 1, 7, grid)
     rep = base_locus_scan(sys_, 0, 5, seed=33)
     assert rep.counts["criterion_zero"] == 0
     assert rep.counts["nonzero"] == 0
@@ -276,10 +320,10 @@ def test_scan_degenerate_equal_rows():
 
 
 def test_scan_cap_and_warning():
-    sys_ = random_fermat_system(3, 2, 1, 5, seed=21)
-    with pytest.raises(FermatError):
+    sys_ = random_fermat_system(3, 2, 1, 7, seed=21)
+    with pytest.raises(FermatError, match="exceeds cap 10"):
         base_locus_scan(sys_, 0, 5, seed=0, cap=10)
-    weak = random_fermat_system(4, 1, 1, 6, seed=5)
+    weak = random_fermat_system(4, 1, 1, 9, seed=5)
     rep = base_locus_scan(weak, 0, 3, seed=5)
     assert rep.hypothesis_warning  # c below the recommended bound
 

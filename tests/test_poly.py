@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from cotci.poly import (
-    AffinePoly,
     HomogPoly,
     MinorVanishingError,
     PolyParseError,
@@ -165,25 +164,22 @@ def test_parse_error_position():
         parse_poly("Z0 + $")
 
 
-def test_affine_parse():
-    g = parse_poly("z1^2 + 2*z2", homogeneous=False)
-    assert isinstance(g, AffinePoly)
-    assert g.terms == {(2, 0): 1, (0, 1): 2}
-
-
 def test_parse_zero_denominator_reports_position():
     with pytest.raises(PolyParseError, match="line 2, column 3: zero denominator"):
         parse_poly("Z0^2\n+ 1/0*Z1^2")
 
 
 def test_parse_rejects_out_of_range_variables():
-    with pytest.raises(PolyParseError, match="column 6: variable index exceeds nvars=4"):
-        parse_poly("z1 + z9", nvars=4, homogeneous=False)
-    assert parse_poly("z4", nvars=4, homogeneous=False).terms == {(0, 0, 0, 1): 1}
-    with pytest.raises(PolyParseError, match="column 1: affine variables start at z1"):
-        parse_poly("z0", nvars=4, homogeneous=False)
     with pytest.raises(PolyParseError, match="column 6: variable index exceeds nvars=3"):
         parse_poly("Z0 + Z3", nvars=3)
+    assert parse_poly("Z2", nvars=3).terms == {(0, 0, 1): 1}
+
+
+def test_parse_rejects_lowercase_variables_at_their_column():
+    with pytest.raises(PolyParseError, match="line 1, column 6: unexpected character 'z'"):
+        parse_poly("Z0 + z1")
+    with pytest.raises(PolyParseError, match="line 2, column 3: unexpected character 'z'"):
+        parse_poly("Z0\n+ z1", nvars=2)
 
 
 def test_divides_into():
