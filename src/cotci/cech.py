@@ -6,8 +6,10 @@ This module enumerates that basis in a canonical order and writes the three
 families of linear maps on it: multiplication by a polynomial,
 multiplication by the differential of a polynomial acting on one tensor
 factor, and the Euler contraction of one tensor factor. Each family is one
-rule (`MapRule`) from which both its sparse matrix and its action on a
-single class are derived.
+rule (`MapRule`), a combination of coefficient-free monomial shifts, from
+which both its sparse matrix and its action on a single class are derived.
+A shift's sparsity table is cached with the bases for one command, so maps
+that share monomials share their tables.
 
 A product monomial whose denominator exponent drops to 0 or below is the zero
 class (it is a coboundary); that truncation rule is applied uniformly and is
@@ -19,7 +21,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import comb
+from typing import NamedTuple
 
 from .exactalg import QQ, SparseMatrix
 from .poly import HomogPoly, compositions, grevlex_key
@@ -75,6 +79,9 @@ def _denominator_exponents(N, weight):
     return out
 
 
+# Bases (keyed by space), their index maps (("index", space)) and shift
+# tables (("shift", source, target, shift)); `cli.run` empties it when a
+# command ends.
 _basis_cache: dict = {}
 
 
@@ -141,37 +148,123 @@ class CohomMap:
         }
 
 
+class _Shift(NamedTuple):
+    """One coefficient-free term T of a map family: multiplication by the
+    monomial Z^M and, when `step` is not 0, by dZ_m on tensor factor `factor`
+    (0-based): `step` 1 appends dZ_m, `step` -1 is the Euler contraction of
+    dZ_m, with multiplicity J_m. `support` lists the (i, M_i) with M_i > 0.
+
+    A denominator I survives the division by Z^M exactly when I_i > M_i on the
+    support of M, since every I_i is at least 1, and only those entries of I
+    change; otherwise the image is the zero class.
+    """
+
+    support: tuple
+    factor: int = 0
+    m: int = 0
+    step: int = 0
+
+    def targets(self, elements) -> list:
+        """Per element, its image basis element, or None for the zero class."""
+        support, j, m, step = self
+        out = []
+        append = out.append
+        for el in elements:
+            I = el[-1]
+            for i, k in support:
+                if I[i] <= k:
+                    append(None)
+                    break
+            else:
+                Inew = list(I)
+                for i, k in support:
+                    Inew[i] -= k
+                if not step:
+                    append(el[:-1] + (tuple(Inew),))
+                    continue
+                J = el[j]
+                if J[m] + step < 0:
+                    append(None)
+                    continue
+                Jnew = J[:m] + (J[m] + step,) + J[m + 1 :]
+                append(el[:j] + (Jnew,) + el[j + 1 : -1] + (tuple(Inew),))
+        return out
+
+    def multiplicities(self, elements):
+        """Per element, the factor its image carries: J_m for a contraction;
+        None when it is 1 for every element."""
+        if self.step >= 0:
+            return None
+        j, m = self.factor, self.m
+        return [el[j][m] for el in elements]
+
+
+def _shift_table(source: CohomSpace, target: CohomSpace, shift: _Shift, cap):
+    """Sparsity pattern of one shift from `source` to `target`: the (row, col)
+    keys of the source elements whose image is not the zero class, in column
+    order, and their multiplicities (None when all are 1).
+
+    Cached for the command run with the bases, without the coefficient, so
+    every map that contains the shift (the equations of one system share
+    their monomials) reuses one list of key tuples.
+    """
+    key = ("shift", source, target, shift)
+    table = _basis_cache.get(key)
+    if table is None:
+        source_basis = basis_enumerate(source, cap)
+        tindex = basis_index(target, cap)
+        targets = shift.targets(source_basis)
+        keys = [(tindex[t], col) for col, t in enumerate(targets) if t is not None]
+        mults = shift.multiplicities(source_basis)
+        if mults is not None:
+            mults = [w for w, t in zip(mults, targets) if t is not None]
+        table = (keys, mults)
+        _basis_cache[key] = table
+    return table
+
+
 @dataclass(frozen=True)
 class MapRule:
-    """One linear map on the monomial bases, given by its rule: `terms(el)`
-    lists the (target element, coefficient) terms of the image of the source
-    basis element `el`, with no target element twice.
+    """One linear map on the monomial bases, written as the combination
+    sum_s c_s T_s of coefficient-free shifts: `shifts` lists the (c_s, T_s)
+    pairs, and no two shifts send one element to the same target.
 
-    `assemble` builds the sparse matrix of the map and `act` applies it to a
-    class; both read the rule, so a map family is written once. `describe`
-    gives the label text; it is called only when the label is read, so a
-    class action does no string work.
+    `assemble` builds the sparse matrix of the map from the cached table of
+    each shift and `act` applies it to a class; both read `shifts`, so a map
+    family is written once. `describe` gives the label text; it is called
+    only when the label is read, so a class action does no string work.
     """
 
     kind: str
     source: CohomSpace
     target: CohomSpace
-    terms: Callable
+    shifts: tuple
     describe: Callable
 
     @property
     def label(self) -> str:
         return self.describe()
 
+    def terms(self, el) -> list:
+        """The (target element, coefficient) terms of the image of `el`."""
+        out = []
+        for c, shift in self.shifts:
+            (t,) = shift.targets((el,))
+            if t is not None:
+                mults = shift.multiplicities((el,))
+                out.append((t, c if mults is None else c * mults[0]))
+        return out
+
     def assemble(self, cap=DEFAULT_BASIS_CAP) -> CohomMap:
-        source_basis = basis_enumerate(self.source, cap)
-        tindex = basis_index(self.target, cap)
-        terms = self.terms
+        # checked here too: a cached table or a map with no shifts reads no basis
+        check_cap(self.source, cap)
+        check_cap(self.target, cap)
+        # one shift at a time: no result depends on the order of the entries
         entries = {}
-        for col, el in enumerate(source_basis):
-            for tel, coeff in terms(el):
-                entries[(tindex[tel], col)] = coeff
-        matrix = SparseMatrix(QQ, self.target.dim(), self.source.dim(), entries)
+        for c, shift in self.shifts:
+            keys, mults = _shift_table(self.source, self.target, shift, cap)
+            entries.update(zip(keys, repeat(c) if mults is None else [c * w for w in mults]))
+        matrix = SparseMatrix._adopt(QQ, self.target.dim(), self.source.dim(), entries)
         return CohomMap(self.kind, matrix, self.source, self.target, self.label)
 
     def act(self, cls: "CohomClass") -> "CohomClass":
@@ -201,48 +294,30 @@ def _check_factor(space, factor):
 
 def _monomial_terms(f: HomogPoly):
     """(coefficient, support of M) per term c*Z^M of f, the support as
-    (i, M_i) pairs; integral coefficients become ints. A denominator I
-    survives the division by Z^M exactly when I_i > M_i on the support of M,
-    since every I_i is at least 1, and only those entries of I change."""
+    (i, M_i) pairs; integral coefficients become ints."""
     return [
-        (QQ.normalize(c), [(i, m) for i, m in enumerate(M) if m])
+        (QQ.normalize(c), tuple((i, m) for i, m in enumerate(M) if m))
         for M, c in f.terms.items()
     ]
 
 
 def mul_poly_rule(space: CohomSpace, f: HomogPoly) -> MapRule:
-    """Multiplication by f into the twist raised by deg f.
-
-    A term 1/Z^{I-M} survives only when every entry of I-M stays >= 1.
+    """Multiplication by f into the twist raised by deg f: one shift per
+    monomial of f. A term 1/Z^{I-M} survives only when every entry of I-M
+    stays >= 1.
     """
     _check_poly(space, f)
     target = CohomSpace(space.ambient_N, space.factor_degrees, space.twist + f.degree)
-    monos = _monomial_terms(f)
-
-    def terms(el):
-        I = el[-1]
-        head = el[:-1]
-        out = []
-        for coeff, support in monos:
-            for i, m in support:
-                if I[i] <= m:
-                    break
-            else:
-                Inew = list(I)
-                for i, m in support:
-                    Inew[i] -= m
-                out.append((head + (tuple(Inew),), coeff))
-        return out
-
-    return MapRule("mulF", space, target, terms, lambda: f"*({f.to_text()})"[:60])
+    shifts = tuple((c, _Shift(support)) for c, support in _monomial_terms(f))
+    return MapRule("mulF", space, target, shifts, lambda: f"*({f.to_text()})"[:60])
 
 
 def mul_dpoly_rule(space: CohomSpace, f: HomogPoly, factor: int) -> MapRule:
     """Multiplication by df acting on tensor factor `factor` (1-based).
 
-    df = sum_m (df/dZ_m) dZ_m; each monomial multiplies the denominator and
-    appends dZ_m to the chosen factor, with the same truncation rule. The
-    partials are taken once, here.
+    df = sum_m (df/dZ_m) dZ_m; each monomial of each partial multiplies the
+    denominator and appends dZ_m to the chosen factor, with the same
+    truncation rule. The partials are taken once, here.
     """
     _check_poly(space, f)
     _check_factor(space, factor)
@@ -250,39 +325,22 @@ def mul_dpoly_rule(space: CohomSpace, f: HomogPoly, factor: int) -> MapRule:
     degs = list(space.factor_degrees)
     degs[j] += 1
     target = CohomSpace(space.ambient_N, tuple(degs), space.twist + f.degree)
-    partials = []
+    shifts = []
     for m in range(f.nvars):
-        pm = f.partial_derivative(m)
-        if not pm.is_zero():
-            partials.append((m, _monomial_terms(pm)))
-
-    def terms(el):
-        I = el[-1]
-        J = el[j]
-        out = []
-        for m, monos in partials:
-            Jnew = J[:m] + (J[m] + 1,) + J[m + 1 :]
-            head = el[:j] + (Jnew,) + el[j + 1 : -1]
-            for coeff, support in monos:
-                for i, k in support:
-                    if I[i] <= k:
-                        break
-                else:
-                    Inew = list(I)
-                    for i, k in support:
-                        Inew[i] -= k
-                    out.append((head + (tuple(Inew),), coeff))
-        return out
-
-    return MapRule("muldF", space, target, terms, lambda: f"*d({f.to_text()})@{factor}"[:60])
+        for c, support in _monomial_terms(f.partial_derivative(m)):
+            shifts.append((c, _Shift(support, j, m, 1)))
+    return MapRule(
+        "muldF", space, target, tuple(shifts), lambda: f"*d({f.to_text()})@{factor}"[:60]
+    )
 
 
 def euler_contraction_rule(space: CohomSpace, factor: int) -> MapRule:
     """The Euler contraction dZ_i -> Z_i on tensor factor `factor`.
 
     On monomials: dZ^J -> sum_i J_i dZ^{J - delta_i} with denominator I - delta_i,
-    zero class when an exponent drops below 1. Surjective onto the target at
-    top cohomology, which the tests assert through rank = dim(target).
+    zero class when an exponent drops below 1: shift i with multiplicity J_i.
+    Surjective onto the target at top cohomology, which the tests assert
+    through rank = dim(target).
     """
     _check_factor(space, factor)
     j = factor - 1
@@ -291,20 +349,8 @@ def euler_contraction_rule(space: CohomSpace, factor: int) -> MapRule:
     degs = list(space.factor_degrees)
     degs[j] -= 1
     target = CohomSpace(space.ambient_N, tuple(degs), space.twist)
-
-    def terms(el):
-        I = el[-1]
-        J = el[j]
-        out = []
-        for i, ji in enumerate(J):
-            if ji == 0 or I[i] <= 1:
-                continue
-            Jnew = J[:i] + (ji - 1,) + J[i + 1 :]
-            Inew = I[:i] + (I[i] - 1,) + I[i + 1 :]
-            out.append((el[:j] + (Jnew,) + el[j + 1 : -1] + (Inew,), ji))
-        return out
-
-    return MapRule("contraction", space, target, terms, lambda: f"c_{factor}")
+    shifts = tuple((1, _Shift(((i, 1),), j, i, -1)) for i in range(space.ambient_N + 1))
+    return MapRule("contraction", space, target, shifts, lambda: f"c_{factor}")
 
 
 def mul_poly_matrix(space: CohomSpace, f: HomogPoly, cap=DEFAULT_BASIS_CAP) -> CohomMap:

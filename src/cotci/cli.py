@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import __version__
-from . import ci_engine, fermat as fermat_mod, lambdacalc as lam
+from . import cech, ci_engine, fermat as fermat_mod, lambdacalc as lam
 from .cech import DEFAULT_BASIS_CAP, BasisCapExceeded
 from .poly import HomogPoly, PolyParseError, parse_poly
 
@@ -312,6 +312,9 @@ def run(config: RunConfig) -> int:
     except ci_engine.EulerCrossCheckError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # bases, index maps and shift tables live for one command
+        cech._basis_cache.clear()
     report = {
         "artifact_version": __version__,
         "command": config.command,

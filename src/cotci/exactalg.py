@@ -139,7 +139,16 @@ def _mul_indexed(cols, vec, field) -> dict:
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix; absent entries are zero."""
+    """Immutable-by-convention sparse matrix; absent entries are zero.
+
+    The constructor normalizes every entry into the field, drops zeros and
+    rejects a key outside the shape. `_adopt` takes an entries dict as it is,
+    with none of that; its only callers are `cech.MapRule.assemble` and
+    `apply_to_basis`, whose entries are by construction nonzero field
+    elements at keys inside the shape (over Q ints or Fractions, over F_p
+    residues in [0, p)). Adopting the dict keeps its key tuples, which the
+    cech shift tables share between matrices.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "entries")
 
@@ -155,6 +164,16 @@ class SparseMatrix:
                     if not (0 <= r < nrows and 0 <= c < ncols):
                         raise DimensionError(f"entry ({r},{c}) outside {nrows}x{ncols}")
                     self.entries[(r, c)] = v
+
+    @classmethod
+    def _adopt(cls, field, nrows: int, ncols: int, entries: dict):
+        """The matrix with this entries dict itself: no copy and no checks."""
+        matrix = cls.__new__(cls)
+        matrix.field = field
+        matrix.nrows = nrows
+        matrix.ncols = ncols
+        matrix.entries = entries
+        return matrix
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -384,7 +403,7 @@ def apply_to_basis(matrix: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
         img = _mul_indexed(cols, vec, matrix.field)
         for r, v in img.items():
             ent[(r, j)] = v
-    return SparseMatrix(matrix.field, matrix.nrows, basis.dim, ent)
+    return SparseMatrix._adopt(matrix.field, matrix.nrows, basis.dim, ent)
 
 
 def combine_basis(basis: SubspaceBasis, coeffs: SubspaceBasis) -> SubspaceBasis:

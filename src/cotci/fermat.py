@@ -248,15 +248,20 @@ def letters(v, i: int, e: int):
 # numeric jet matrices
 
 
+def _chart_columns(sys: FermatSystem, chart):
+    """The coefficient columns other than `chart`, in order: chart coordinate
+    z[pos] is Z_i / Z_chart for the i at position pos."""
+    return [i for i in range(sys.ambient_N + 1) if i != chart]
+
+
 def build_B(sys: FermatSystem, z, field=QQ, chart=0):
     """c x N matrix b_i(t_i^j, z) = z_i t_i^j(z) at the jet base point."""
     t = sys.dehom_coeffs(chart)
-    N = sys.ambient_N
     out = []
     for j in range(sys.c):
         row = []
-        for i in range(1, N + 1):
-            val = field.normalize(z[i - 1] * t[j][i].evaluate(z, field))
+        for pos, i in enumerate(_chart_columns(sys, chart)):
+            val = field.normalize(z[pos] * t[j][i].evaluate(z, field))
             row.append(val)
         out.append(row)
     return out
@@ -271,12 +276,12 @@ def build_Bprime(sys: FermatSystem, z, xi, field=QQ, chart=0):
     out = []
     for j in range(sys.c):
         row = []
-        for i in range(1, N + 1):
+        for pos, i in enumerate(_chart_columns(sys, chart)):
             u = t[j][i]
             dal = sum(
                 u.partial_derivative(m).evaluate(z, field) * xi[m] for m in range(N)
             )
-            val = z[i - 1] * dal + sys.e * u.evaluate(z, field) * xi[i - 1]
+            val = z[pos] * dal + sys.e * u.evaluate(z, field) * xi[pos]
             row.append(field.normalize(val))
         out.append(row)
     return out
@@ -600,11 +605,12 @@ def base_locus_scan(
     xi_limit: int = 10_000,
     spot_checks: int = 50,
 ) -> ScanReport:
-    """Enumerate jet points of the chart-0 intersection over F_p and classify
-    them by the rank criterion. Points outside the tautological vanishing
-    locus W whose forms all vanish are the candidate exceptional set, emitted
-    for fixture freezing; nothing about its size is asserted. The twist `a`
-    must leave a numerator degree, or no form of that twist exists."""
+    """Enumerate jet points of the intersection in the chart Z_chart = 1 over
+    F_p and classify them by the rank criterion. Points outside the
+    tautological vanishing locus W whose forms all vanish are the candidate
+    exceptional set, emitted for fixture freezing; nothing about its size is
+    asserted. The twist `a` must leave a numerator degree, or no form of that
+    twist exists."""
     if sys.max_p_degree(a) < 0:
         raise FermatError(f"twist a={a} leaves no numerator degree")
     field = PrimeField(p)
@@ -622,7 +628,7 @@ def base_locus_scan(
     affine_eqs = []
     for j in range(sys.c):
         base = t[j][chart]  # the freed coordinate contributes its coefficient
-        others = [(i, t[j][i]) for i in range(N + 1) if i != chart]
+        others = [(i, t[j][i]) for i in _chart_columns(sys, chart)]
         affine_eqs.append((base, others))
     # partials of f = t_chart + sum t_i z_i^e in the N chart coordinates
     partial_polys = []

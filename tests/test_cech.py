@@ -15,7 +15,7 @@ from cotci.cech import (
     mul_dpoly_matrix,
     mul_poly_matrix,
 )
-from cotci.exactalg import rank
+from cotci.exactalg import QQ, SparseMatrix, rank
 from cotci.poly import HomogPoly, random_homog
 from cotci.rng import SplitMix64
 
@@ -76,11 +76,11 @@ def assert_matrix_matches_class_action(cm, act):
     space = cm.source
     idx = cech.basis_index(space)
     tgt = cech.basis_index(cm.target)
+    cols = cm.matrix.col_lists()
     for el in basis_enumerate(space):
         out = act(CohomClass(space, {el: 1}))
         assert out.space == cm.target
-        vec = cm.matrix.mul_vec({idx[el]: 1})
-        assert vec == {tgt[e]: c for e, c in out.coeffs.items()}
+        assert dict(cols.get(idx[el], ())) == {tgt[e]: c for e, c in out.coeffs.items()}
 
 
 def test_mul_matrix_matches_class_application():
@@ -112,6 +112,76 @@ def test_contraction_matrix_matches_class_application():
         assert_matrix_matches_class_action(
             euler_contraction_matrix(space, factor), lambda cls: apply_contraction(cls, factor)
         )
+
+
+def _rule_built_maps():
+    """(map, class action) pairs over multi-factor spaces, from seeded
+    polynomials with mixed supports and one non-integral coefficient."""
+    rng = SplitMix64(4242)
+    out = []
+    for space in (CohomSpace(2, (1, 2), -4), CohomSpace(3, (2, 1), -5)):
+        nvars = space.ambient_N + 1
+        for degree in (1, 2, 3):
+            f = random_homog(rng, nvars, degree)
+            if degree == 2:
+                f = f + HomogPoly.variable(nvars, 0, 2).scaled(Fraction(3, 4))
+            out.append((mul_poly_matrix(space, f), lambda cls, f=f: apply_poly(cls, f)))
+            for factor in range(1, space.k + 1):
+                out.append((
+                    mul_dpoly_matrix(space, f, factor),
+                    lambda cls, f=f, factor=factor: apply_dpoly(cls, f, factor),
+                ))
+        for factor in range(1, space.k + 1):
+            out.append((
+                euler_contraction_matrix(space, factor),
+                lambda cls, factor=factor: apply_contraction(cls, factor),
+            ))
+    return out
+
+
+def test_mixed_support_matrices_match_class_action():
+    for cm, act in _rule_built_maps():
+        assert_matrix_matches_class_action(cm, act)
+
+
+def test_rule_built_matrices_pass_the_checked_constructor_unchanged():
+    # the invariant `SparseMatrix._adopt` relies on: normalized nonzero values
+    # at in-range keys, so the checked constructor changes nothing, not even
+    # a value's type or the entry order
+    for cm, _ in _rule_built_maps():
+        m = cm.matrix
+        checked = SparseMatrix(QQ, m.nrows, m.ncols, m.entries)
+        assert [(k, v, type(v)) for k, v in checked.entries.items()] == [
+            (k, v, type(v)) for k, v in m.entries.items()
+        ]
+
+
+def test_shift_tables_carry_no_coefficient():
+    # two polynomials on one support with different coefficients share every
+    # shift table, and each still assembles to its matrix from an empty cache
+    space = CohomSpace(3, (1,), -6)
+    f = random_homog(SplitMix64(77), 4, 3)
+    g = HomogPoly(4, {M: Fraction(c * c + 1, 2) for M, c in f.terms.items()})
+    builders = {
+        "mulF": lambda h: mul_poly_matrix(space, h),
+        "muldF": lambda h: mul_dpoly_matrix(space, h, 1),
+    }
+    fresh = {}
+    for name, build in builders.items():
+        for h in (f, g):
+            cech._basis_cache.clear()
+            fresh[name, h] = build(h).matrix.entries
+        assert fresh[name, f] != fresh[name, g]
+    for order in ((f, g), (g, f)):
+        cech._basis_cache.clear()
+        for name, build in builders.items():
+            tables = []
+            for h in order:
+                assert build(h).matrix.entries == fresh[name, h]
+                tables.append(
+                    {k for k in cech._basis_cache if isinstance(k, tuple) and k[0] == "shift"}
+                )
+            assert tables[0] == tables[1]
 
 
 def test_euler_formula_matrix_identity():
@@ -163,6 +233,17 @@ def test_contraction_rules():
     assert out.coeffs == {((0, 0, 0), (1, 1, 1)): 1}
     cls2 = CohomClass(space, {((1, 0, 0), (1, 2, 1)): 1})
     assert apply_contraction(cls2, 1).is_zero()
+    # dZ0^2 dZ1/(Z0^2 Z1^2 Z2): each dZ_i counts with its exponent J_i
+    space3 = CohomSpace(2, (3,), -2)
+    cls3 = CohomClass(space3, {((2, 1, 0), (2, 2, 1)): 1})
+    assert apply_contraction(cls3, 1).coeffs == {
+        ((1, 1, 0), (1, 2, 1)): 2,
+        ((2, 0, 0), (2, 1, 1)): 1,
+    }
+    cm = euler_contraction_matrix(space3, 1)
+    col = cech.basis_index(space3)[((2, 1, 0), (2, 2, 1))]
+    row = cech.basis_index(cm.target)[((1, 1, 0), (1, 2, 1))]
+    assert cm.matrix.entries[(row, col)] == 2
 
 
 def test_contraction_surjective_rank():

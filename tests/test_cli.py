@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import jsonschema
 import pytest
 
-from cotci import cli
+from cotci import cech, cli
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = json.load(open(os.path.join(REPO, "report.schema.json")))
@@ -322,3 +323,39 @@ def test_cohomology_recheck_failure_exits_2(monkeypatch, tmp_path, params):
     report = json.loads(out.read_text())
     jsonschema.validate(report, SCHEMA)
     assert report["result"]["dim"] >= 0
+
+
+GOLDEN = json.load(open(os.path.join(REPO, "tests", "fixtures", "golden_reports.json")))
+
+
+@pytest.mark.parametrize(
+    "argv", [entry["argv"] for entry in GOLDEN["reports"]], ids=lambda argv: " ".join(argv)
+)
+def test_report_matches_golden_digest(tmp_path, argv):
+    # the digests pin every field but wall_time, bases included, so a change
+    # that alters any report fails here
+    code, rep, err = run_cli(argv, tmp_path / "r.json")
+    assert code == 0, err
+    canonical = json.dumps(strip_wall_time(rep), sort_keys=True, separators=(",", ":"))
+    expected = next(e["sha256"] for e in GOLDEN["reports"] if e["argv"] == argv)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == expected
+
+
+def test_run_leaves_the_basis_cache_empty(tmp_path, monkeypatch):
+    # bases, index maps and shift tables are dropped when a command ends
+    sizes = []
+    original = cli._RUNNERS["cohomology"]
+
+    def runner(cfg):
+        payload = original(cfg)
+        sizes.append(len(cech._basis_cache))
+        return payload
+
+    monkeypatch.setitem(cli._RUNNERS, "cohomology", runner)
+    for i, params in enumerate(
+        [{"N": 4, "c": 1, "e": [5], "ell": [2]}, {"N": 3, "c": 1, "e": [4], "ell": [2, 1]}]
+    ):
+        config = cli.RunConfig("cohomology", params=params, out=str(tmp_path / f"{i}.json"))
+        assert cli.run(config) == 0
+        assert sizes[i] > 0
+        assert cech._basis_cache == {}

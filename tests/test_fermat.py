@@ -308,6 +308,34 @@ def test_scan_small_instance():
     assert d["counts"] == rep.counts
 
 
+def _swap_columns(sys_, k):
+    """The system with Z_0 and Z_k exchanged: coefficient columns 0 and k
+    swapped, and Z_0, Z_k swapped inside every coefficient."""
+
+    def swap(seq):
+        out = list(seq)
+        out[0], out[k] = out[k], out[0]
+        return tuple(out)
+
+    def swapped(f):
+        return HomogPoly(f.nvars, {swap(m): c for m, c in f.terms.items()}, f.degree)
+
+    grid = tuple(tuple(swapped(f) for f in swap(row)) for row in sys_.s)
+    return FermatSystem(sys_.ambient_N, sys_.c, sys_.epsilon, sys_.e, grid)
+
+
+@pytest.mark.parametrize("chart", [1, 2, 3, 4])
+def test_scan_chart_matches_chart_zero_of_swapped_system(chart):
+    # chart k of a system is chart 0 of the system with Z_0 and Z_k exchanged,
+    # up to the order of the affine coordinates, which no count depends on
+    # (every xi is enumerated, none sampled)
+    sys_ = random_fermat_system(4, 2, 1, 9, seed=7)
+    rep = base_locus_scan(sys_, 0, 5, seed=7, chart=chart)
+    ref = base_locus_scan(_swap_columns(sys_, chart), 0, 5, seed=7)
+    assert rep.jet_points == ref.jet_points > 0
+    assert rep.counts == ref.counts
+
+
 def test_scan_degenerate_equal_rows():
     # two identical coefficient rows force rank B <= 1 everywhere
     rng_sys = random_fermat_system(3, 2, 1, 7, seed=33)
