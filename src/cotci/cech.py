@@ -74,9 +74,8 @@ class CohomSpace:
 def _denominator_exponents(N, weight):
     """All I with N+1 entries >= 1 summing to `weight`, canonical order."""
     inner = compositions(weight - (N + 1), N + 1)
-    out = [tuple(v + 1 for v in t) for t in inner]
-    out.sort(key=grevlex_key)
-    return out
+    # adding 1 to every entry keeps grevlex order
+    return [tuple(v + 1 for v in t) for t in inner]
 
 
 # Bases (keyed by space), their index maps (("index", space)) and shift

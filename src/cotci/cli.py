@@ -200,10 +200,17 @@ def _run_witness(cfg: RunConfig):
     return payload, res.nonzero or res.degenerate
 
 
+def _trials(cfg: RunConfig, default):
+    trials = cfg.params.get("trials", default)
+    if trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {trials}")
+    return trials
+
+
 def _run_jump(cfg: RunConfig):
     report = ci_engine.jump_experiment(
         cfg.params["e"],
-        cfg.params.get("trials", 5),
+        _trials(cfg, 5),
         cfg.params.get("seed", 0),
         avec=tuple(cfg.params.get("avec") or (0, 1, 2, 3, 4)),
         cap=cfg.cap,
@@ -279,9 +286,7 @@ def _run_baselocus(cfg: RunConfig):
 
 
 def _run_probes(cfg: RunConfig):
-    report = fermat_mod.genericity_probes(
-        cfg.params.get("trials", 1000), cfg.params.get("seed", 0)
-    )
+    report = fermat_mod.genericity_probes(_trials(cfg, 1000), cfg.params.get("seed", 0))
     ok = (
         report["rank_product"]["degeneracies"] == 0
         and report["letter_independence"]["degeneracies"] == 0

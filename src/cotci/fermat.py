@@ -31,7 +31,9 @@ class FermatError(ValueError):
 
 class TensorForm:
     """Element of S^w V tensor polynomials: sparse map from a degree-w
-    exponent tuple over the form variables to a coefficient polynomial."""
+    exponent tuple over the form variables to a coefficient polynomial.
+    With AffinePoly coefficients in the jet coordinates z it is a jet-space
+    form of degree w in the direction xi."""
 
     __slots__ = ("form_nvars", "weight", "terms")
 
@@ -100,6 +102,27 @@ class TensorForm:
             self.weight,
             {e: p * poly for e, p in self.terms.items()},
         )
+
+    def evaluate(self, z, xi, field=QQ):
+        """Value at the point z in the direction xi."""
+        total = 0
+        for exp, poly in self.terms.items():
+            v = poly.evaluate(z, field)
+            for x, p_ in zip(xi, exp):
+                if p_:
+                    v *= x**p_
+            total += v
+        return field.normalize(total)
+
+    def substitute_pair_zero(self, i: int) -> "TensorForm":
+        """Set z_i = 0 and xi_i = 0 (1-based i); used for the W-vanishing check."""
+        idx = i - 1
+        terms = {}
+        for exp, poly in self.terms.items():
+            if exp[idx] == 0:
+                kept = {m: c for m, c in poly.terms.items() if m[idx] == 0}
+                terms[exp] = type(poly)(poly.nvars, kept)
+        return TensorForm(self.form_nvars, self.weight, terms)
 
     def __eq__(self, other):
         return (
@@ -245,7 +268,7 @@ def letters(v, i: int, e: int):
 
 
 # ---------------------------------------------------------------------------
-# numeric jet matrices
+# the chart's letter grid and the numeric jet matrices
 
 
 def _chart_columns(sys: FermatSystem, chart):
@@ -254,37 +277,24 @@ def _chart_columns(sys: FermatSystem, chart):
     return [i for i in range(sys.ambient_N + 1) if i != chart]
 
 
-def build_B(sys: FermatSystem, z, field=QQ, chart=0):
-    """c x N matrix b_i(t_i^j, z) = z_i t_i^j(z) at the jet base point."""
+def letter_grid(sys: FermatSystem, chart=0):
+    """c x N grid of (b, beta) letter pairs in the chart coordinates: entry
+    [j][pos] is letters(t_i^j, pos, e) for the column i at position pos."""
     t = sys.dehom_coeffs(chart)
-    out = []
-    for j in range(sys.c):
-        row = []
-        for pos, i in enumerate(_chart_columns(sys, chart)):
-            val = field.normalize(z[pos] * t[j][i].evaluate(z, field))
-            row.append(val)
-        out.append(row)
-    return out
+    columns = _chart_columns(sys, chart)
+    return [[letters(row[i], pos, sys.e) for pos, i in enumerate(columns)] for row in t]
 
 
-def build_Bprime(sys: FermatSystem, z, xi, field=QQ, chart=0):
+def build_B(grid, z, field=QQ):
+    """c x N matrix b_i(t_i^j, z) = z_i t_i^j(z) at the jet base point."""
+    return [[b.evaluate(z, field) for b, _ in row] for row in grid]
+
+
+def build_Bprime(grid, z, xi, field=QQ):
     """c x N matrix beta_i(t_i^j, z, xi) = z_i dt(xi) + e t(z) xi_i."""
     if all(x == 0 for x in xi):
         raise FermatError("jet direction xi must be nonzero")
-    t = sys.dehom_coeffs(chart)
-    N = sys.ambient_N
-    out = []
-    for j in range(sys.c):
-        row = []
-        for pos, i in enumerate(_chart_columns(sys, chart)):
-            u = t[j][i]
-            dal = sum(
-                u.partial_derivative(m).evaluate(z, field) * xi[m] for m in range(N)
-            )
-            val = z[pos] * dal + sys.e * u.evaluate(z, field) * xi[pos]
-            row.append(field.normalize(val))
-        out.append(row)
-    return out
+    return [[beta.evaluate(z, xi, field) for _, beta in row] for row in grid]
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +310,10 @@ def _check_index_tuple(sys, I):
         raise FermatError(f"indices must lie in 1..{sys.c}")
 
 
-def _letter_determinant(coeffs, I, columns, e) -> TensorForm:
-    """Determinant with one row of scalar letters per coefficient row and one
-    row of form letters per index of I. `columns` lists (k, i) pairs: the
-    column takes the letters of coeffs[j - 1][k] in variable i."""
-    grid = [[letters(row[k], i, e) for k, i in columns] for row in coeffs]
-    nvars = coeffs[0][0].nvars
+def _letter_determinant(grid, I) -> TensorForm:
+    """Determinant with one row of scalar letters per grid row and one row of
+    form letters per index of I (1-based grid rows)."""
+    nvars = grid[0][0][0].nvars
     rows = [[TensorForm.scalar(nvars, a) for a, _ in line] for line in grid]
     rows += [[al for _, al in grid[j - 1]] for j in I]
     return form_determinant(rows)
@@ -323,8 +331,9 @@ def tilde_cocycle(sys: FermatSystem, I, P: HomogPoly, chart: int) -> TensorForm:
         raise FermatError(
             f"deg P = {P.degree} exceeds the bound {sys.max_p_degree(0)}"
         )
-    columns = [(i, i) for i in range(N + 1) if i != chart]
-    det = _letter_determinant(sys.s, I, columns, sys.e)
+    columns = _chart_columns(sys, chart)
+    grid = [[letters(row[i], i, sys.e) for i in columns] for row in sys.s]
+    det = _letter_determinant(grid, I)
     return det.poly_scaled(P).scaled((-1) ** chart)
 
 
@@ -463,48 +472,13 @@ def verify_glue(sys: FermatSystem, numerators, chart_a: int, chart_b: int,
 # affine symmetric forms
 
 
-@dataclass
-class AffineSymmetricForm:
-    xi_degree: int
-    form: TensorForm  # xi-exponent -> AffinePoly in z
-
-    def is_zero(self):
-        return self.form.is_zero()
-
-    def evaluate(self, z, xi, field=QQ):
-        total = 0
-        for exp, poly in self.form.terms.items():
-            v = poly.evaluate(z, field)
-            for x, p_ in zip(xi, exp):
-                if p_:
-                    v *= x**p_
-            total += v
-        return field.normalize(total)
-
-    def substitute_pair_zero(self, i: int) -> "AffineSymmetricForm":
-        """Set z_i = 0 and xi_i = 0 (1-based i); used for the W-vanishing check."""
-        idx = i - 1
-        terms = {}
-        for exp, poly in self.form.terms.items():
-            if exp[idx] != 0:
-                continue
-            kept = {
-                m: c for m, c in poly.terms.items() if m[idx] == 0
-            }
-            newpoly = AffinePoly(poly.nvars, kept)
-            if not newpoly.is_zero():
-                terms[exp] = newpoly
-        return AffineSymmetricForm(self.xi_degree, TensorForm(self.form.form_nvars, self.form.weight, terms))
-
-
-def affine_form(sys: FermatSystem, I) -> AffineSymmetricForm:
+def affine_form(sys: FermatSystem, I) -> TensorForm:
     """The full N x N determinant of b-rows and beta-rows in the chart-0 jet
-    coordinates z_q = Z_q/Z_0; homogeneous of degree n in the jet direction.
+    coordinates z_q = Z_q/Z_0, a form of weight n in the jet direction xi.
     A numerator Q only multiplies it, so where it vanishes every Q-multiple
     vanishes too."""
     _check_index_tuple(sys, I)
-    columns = [(q, q - 1) for q in range(1, sys.ambient_N + 1)]
-    return AffineSymmetricForm(sys.n, _letter_determinant(sys.dehom_coeffs(0), I, columns, sys.e))
+    return _letter_determinant(letter_grid(sys, 0), I)
 
 
 # ---------------------------------------------------------------------------
@@ -624,29 +598,9 @@ def base_locus_scan(
             f"{-(-(3 * N - 2) // 4)}; the expected decomposition may fail"
         )
     rng = SplitMix64(seed)
-    t = sys.dehom_coeffs(chart)
-    affine_eqs = []
-    for j in range(sys.c):
-        base = t[j][chart]  # the freed coordinate contributes its coefficient
-        others = [(i, t[j][i]) for i in _chart_columns(sys, chart)]
-        affine_eqs.append((base, others))
-    # partials of f = t_chart + sum t_i z_i^e in the N chart coordinates
-    partial_polys = []
-    for j in range(sys.c):
-        base, others = affine_eqs[j]
-        rowp = []
-        for m in range(N):
-            acc = base.partial_derivative(m)
-            for pos, (i, u) in enumerate(others):
-                du = u.partial_derivative(m)
-                zterm = AffinePoly.variable(N, pos, sys.e)
-                acc = acc + du * zterm
-                if pos == m:
-                    acc = acc + u * AffinePoly.variable(N, pos, sys.e - 1).scaled(sys.e)
-            rowp.append(acc)
-        partial_polys.append(rowp)
-
-    pow_e = [pow(v, sys.e, p) for v in range(p)]
+    eqs = [f.dehomogenize(chart) for f in sys.equations()]
+    jacobian = [[f.partial_derivative(m) for m in range(N)] for f in eqs]
+    grid = letter_grid(sys, chart)
     counts = {"in_w": 0, "rank_drop_b": 0, "criterion_zero": 0, "nonzero": 0}
     candidate = []
     ci_points = 0
@@ -664,25 +618,13 @@ def base_locus_scan(
         ]
 
     for z in itertools.product(range(p), repeat=N):
-        on_ci = True
-        for j in range(sys.c):
-            base, others = affine_eqs[j]
-            val = base.evaluate(z, field)
-            for pos, (i, u) in enumerate(others):
-                val = (val + u.evaluate(z, field) * pow_e[z[pos]]) % p
-            if val % p:
-                on_ci = False
-                break
-        if not on_ci:
+        if any(f.evaluate(z, field) for f in eqs):
             continue
         ci_points += 1
-        rows = [
-            [poly.evaluate(z, field) for poly in partial_polys[j]]
-            for j in range(sys.c)
-        ]
+        rows = [[df.evaluate(z, field) for df in row] for row in jacobian]
         tangent = kernel_basis(SparseMatrix.from_rows(field, rows))
         # B and its rank depend on the point z alone
-        B = build_B(sys, z, field, chart)
+        B = build_B(grid, z, field)
         rkB = rank(SparseMatrix.from_rows(field, B))
         for xi in _projective_points(field, tangent.vectors, N, xi_limit, rng):
             jet_points += 1
@@ -690,14 +632,14 @@ def base_locus_scan(
             if in_w:
                 counts["in_w"] += 1
                 w_checked += 1
-                if any(structured_nonsingular(B, build_Bprime(sys, z, xi, field, chart))):
+                if any(structured_nonsingular(B, build_Bprime(grid, z, xi, field))):
                     w_fail += 1
                 continue
             if rkB < sys.c:
                 counts["rank_drop_b"] += 1
                 candidate.append({"z": list(z), "xi": list(xi), "class": "rank_drop_b"})
                 continue
-            Bp = build_Bprime(sys, z, xi, field, chart)
+            Bp = build_Bprime(grid, z, xi, field)
             if rank(SparseMatrix.from_rows(field, B + Bp)) < N:
                 counts["criterion_zero"] += 1
                 candidate.append({"z": list(z), "xi": list(xi), "class": "criterion_zero"})
@@ -773,18 +715,17 @@ def genericity_probes(
     M = len(monos)
     drop_ii = 0
 
+    # the letters of every coefficient monomial u in each variable z_q
+    unit_letters = [
+        [letters(AffinePoly(N, {mono: 1}), i, e) for mono in monos] for i in range(N)
+    ]
+
     def functional_rows(z, xi, q):
-        i = q - 1
-        brow = []
-        berow = []
-        for mono in monos:
-            u = AffinePoly(N, {mono: 1})
-            brow.append(z[i] * u.evaluate(z, field) % p)
-            du = sum(
-                u.partial_derivative(m).evaluate(z, field) * xi[m] for m in range(N)
-            )
-            berow.append((z[i] * du + e * u.evaluate(z, field) * xi[i]) % p)
-        return brow, berow
+        pairs = unit_letters[q - 1]
+        return (
+            [b.evaluate(z, field) for b, _ in pairs],
+            [beta.evaluate(z, xi, field) for _, beta in pairs],
+        )
 
     for _ in range(trials):
         z = [rng.randint(1, p - 1) for _ in range(N)]

@@ -14,6 +14,7 @@ vanishing predicate. Everything is immutable and hashable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -89,26 +90,31 @@ class LambdaSetting:
         return self.serialize()
 
 
+_SETTING_KEY = re.compile(r"N|e|L(0|[1-9][0-9]*)")
+
+
 def parse_setting(text: str) -> LambdaSetting:
     body = text.strip()
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError("setting must be wrapped in parentheses")
     fields = {}
-    order = []
     for chunk in body[1:-1].split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         key, _, val = chunk.partition("=")
-        fields[key.strip()] = val.strip()
-        order.append(key.strip())
+        key = key.strip()
+        if not _SETTING_KEY.fullmatch(key):
+            raise ValueError(f"unknown setting key {key!r}")
+        if key in fields:
+            raise ValueError(f"setting key {key!r} given twice")
+        fields[key] = val.strip()
     if "N" not in fields:
         raise ValueError("missing N")
     N = int(fields["N"])
     degs = tuple(int(x) for x in fields.get("e", "").split(",") if x.strip() != "")
-    levels = sorted(k for k in fields if k.startswith("L"))
     tuples = []
-    for j in range(len(levels)):
+    for j in range(sum(1 for k in fields if k.startswith("L"))):
         key = f"L{j}"
         if key not in fields:
             raise ValueError(f"missing level {key}")

@@ -35,21 +35,23 @@ def mi_weight(a):
 
 
 def compositions(total, parts):
-    """All exponent tuples of the given length summing to total, grevlex order."""
+    """All exponent tuples of the given length summing to total, in grevlex
+    order: ascending in the last coordinate, then in the one before it, and
+    so on."""
     if parts == 0:
         return [()] if total == 0 else []
-    out = []
+    if total < 0:
+        return []
 
-    def rec(prefix, left, slots):
-        if slots == 1:
-            out.append(prefix + (left,))
-            return
-        for v in range(left, -1, -1):
-            rec(prefix + (v,), left - v, slots - 1)
+    def extend(t):
+        # the compositions of t with one more part `last`, outermost
+        return [head + (last,) for last in range(t + 1) for head in by_total[t - last]]
 
-    rec((), total, parts)
-    out.sort(key=grevlex_key)
-    return out
+    # by_total[t]: the compositions of t into the parts placed so far
+    by_total = [[(t,)] for t in range(total + 1)]
+    for _ in range(parts - 2):
+        by_total = [extend(t) for t in range(total + 1)]
+    return extend(total) if parts > 1 else by_total[total]
 
 
 class _PolyBase:

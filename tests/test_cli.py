@@ -10,7 +10,8 @@ import pytest
 from cotci import cech, cli
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCHEMA = json.load(open(os.path.join(REPO, "report.schema.json")))
+with open(os.path.join(REPO, "report.schema.json"), encoding="utf-8") as fh:
+    SCHEMA = json.load(fh)
 
 
 def run_cli(args, out_path, env_extra=None):
@@ -210,6 +211,15 @@ def test_usage_errors_exit_1(tmp_path):
         assert code == 1 and "Traceback" not in err
         (line,) = err.strip().splitlines()
         assert line.startswith("error:") and "zero denominator" in line
+    # a setting takes each of N, e and L0, L1, ... at most once, and no other key
+    for setting, why in (
+        ("(N=4; e=5,5; L0=; L1=; L2=2; Q=7)", "unknown setting key 'Q'"),
+        ("(N=4; e=5,5; L0=; L1=; L2=2; L2=3)", "setting key 'L2' given twice"),
+        ("(N=4; N=3; e=5,5; L0=; L1=; L2=2)", "setting key 'N' given twice"),
+    ):
+        code, _, err = run_cli(["witness", "--setting", setting, "--P", "1"], tmp_path / "r.json")
+        assert code == 1
+        assert err.strip().splitlines() == [f"error: {why}"]
     proc = subprocess.run(
         [sys.executable, "-m", "cotci.cli", "nonsense"], capture_output=True, text=True
     )
@@ -240,9 +250,26 @@ def test_flags_a_command_does_not_read_exit_1(args, flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args", [["probes", "--trials", "0"], ["jump", "--e", "5", "--trials", "-2"]]
+)
+def test_trials_below_one_exit_1_before_any_work(args, monkeypatch, capsys, tmp_path):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("a command without trials must not run")
+
+    monkeypatch.setattr(cli.ci_engine, "jump_experiment", no_work)
+    monkeypatch.setattr(cli.fermat_mod, "genericity_probes", no_work)
+    out = tmp_path / "r.json"
+    assert cli.main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: --trials must be >= 1, got {args[-1]}"
+    ]
+    assert not out.exists()
+
+
 def test_cap_env_override(tmp_path):
     code, _, err = run_cli(
-        ["jump", "--e", "5", "--trials", "0", "--seed", "1"],
+        ["jump", "--e", "5", "--trials", "1", "--seed", "1"],
         tmp_path / "r.json",
         env_extra={"COTCI_CAP": "100"},
     )
@@ -325,7 +352,8 @@ def test_cohomology_recheck_failure_exits_2(monkeypatch, tmp_path, params):
     assert report["result"]["dim"] >= 0
 
 
-GOLDEN = json.load(open(os.path.join(REPO, "tests", "fixtures", "golden_reports.json")))
+with open(os.path.join(REPO, "tests", "fixtures", "golden_reports.json"), encoding="utf-8") as fh:
+    GOLDEN = json.load(fh)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from cotci.fermat import (
     form_determinant,
     genericity_probes,
     glue_reducer_for,
+    letter_grid,
     letters,
     random_fermat_system,
     tilde_cocycle,
@@ -72,14 +73,15 @@ def test_affine_letters_example():
 
 def test_build_B_zero_column_and_rank():
     sys_ = random_fermat_system(3, 2, 1, 5, seed=4)
+    grid = letter_grid(sys_)
     z = [0, 2, 3]
-    B = build_B(sys_, z)
+    B = build_B(grid, z)
     assert all(row[0] == 0 for row in B)  # z_1 = 0 kills column 1
     zgen = [Fraction(2), Fraction(3), Fraction(5)]
-    m = SparseMatrix.from_rows(QQ, build_B(sys_, zgen))
+    m = SparseMatrix.from_rows(QQ, build_B(grid, zgen))
     assert rank(m) == 2
     with pytest.raises(FermatError):
-        build_Bprime(sys_, zgen, [0, 0, 0])
+        build_Bprime(grid, zgen, [0, 0, 0])
 
 
 def test_equation_expansion():
@@ -226,7 +228,7 @@ def test_glue_reducer_degree_matches_every_difference(sys_, I, P):
 def test_affine_form_w_vanishing_symbolic():
     sys_ = crit6_system()
     form = affine_form(sys_, (1, 2))
-    assert form.xi_degree == 2
+    assert form.weight == 2
     assert not form.is_zero()
     for i in range(1, 5):
         assert form.substitute_pair_zero(i).is_zero()
@@ -253,7 +255,7 @@ def test_affine_form_alternating():
     sys_ = crit6_system()
     f12 = affine_form(sys_, (1, 2))
     f21 = affine_form(sys_, (2, 1))
-    assert f21.form == f12.form.scaled(-1)
+    assert f21 == f12.scaled(-1)
     # a repeated index corresponds to a repeated determinant row: zero
     t = sys_.dehom_coeffs(0)
     rows = []
@@ -267,18 +269,32 @@ def test_affine_form_alternating():
     assert form_determinant(rows).is_zero()
 
 
+def _b(u, q, z, field):
+    # b_q(u) = z_q u(z), written out independently of `letters`
+    return field.normalize(z[q] * u.evaluate(z, field))
+
+
+def _beta(u, q, z, xi, e, field):
+    # beta_q(u) = z_q du(xi) + e u(z) xi_q, written out independently of `letters`
+    du = sum(u.partial_derivative(m).evaluate(z, field) * x for m, x in enumerate(xi))
+    return field.normalize(z[q] * du + e * u.evaluate(z, field) * xi[q])
+
+
 def test_affine_form_matches_numeric_determinant():
     sys_ = random_fermat_system(3, 2, 1, 6, seed=9)
     form = affine_form(sys_, (1,))
+    grid = letter_grid(sys_)
+    t = [row[1:] for row in sys_.dehom_coeffs(0)]  # chart 0: columns 1..N
     rng = SplitMix64(55)
     for field in (QQ, PrimeField(101)):
         for _ in range(5):
             z = [field.normalize(rng.randint(1, 19)) for _ in range(3)]
             xi = [field.normalize(rng.randint(1, 19)) for _ in range(3)]
-            B = build_B(sys_, z, field)
-            Bp = build_Bprime(sys_, z, xi, field)
-            rows = B + [Bp[0]]
-            det = _plain_det(rows, field)
+            B = [[_b(u, q, z, field) for q, u in enumerate(row)] for row in t]
+            Bp = [[_beta(u, q, z, xi, sys_.e, field) for q, u in enumerate(row)] for row in t]
+            assert build_B(grid, z, field) == B
+            assert build_Bprime(grid, z, xi, field) == Bp
+            det = _plain_det(B + [Bp[0]], field)
             assert form.evaluate(z, xi, field) == det
 
 
@@ -359,17 +375,18 @@ def test_scan_cap_and_warning():
 def test_fp_qq_classification_coherence():
     # integral points classify identically over Q and mod a large prime
     sys_ = random_fermat_system(3, 2, 1, 6, seed=13)
+    grid = letter_grid(sys_)
     big = PrimeField(10007)
     rng = SplitMix64(77)
     for _ in range(10):
         z = [rng.randint(1, 9) for _ in range(3)]
         xi = [rng.randint(1, 9) for _ in range(3)]
-        Bq = SparseMatrix.from_rows(QQ, build_B(sys_, z))
-        Bp = SparseMatrix.from_rows(big, build_B(sys_, z, big))
+        Bq = SparseMatrix.from_rows(QQ, build_B(grid, z))
+        Bp = SparseMatrix.from_rows(big, build_B(grid, z, big))
         assert rank(Bq) == rank(Bp)
-        Sq = SparseMatrix.from_rows(QQ, build_B(sys_, z) + build_Bprime(sys_, z, xi))
+        Sq = SparseMatrix.from_rows(QQ, build_B(grid, z) + build_Bprime(grid, z, xi))
         Sp = SparseMatrix.from_rows(
-            big, build_B(sys_, z, big) + build_Bprime(sys_, z, xi, big)
+            big, build_B(grid, z, big) + build_Bprime(grid, z, xi, big)
         )
         assert rank(Sq) == rank(Sp)
 

@@ -9,6 +9,7 @@ from cotci.poly import (
     compositions,
     deformed_fermat_pair,
     fermat_generic_system,
+    grevlex_key,
     minors_nonzero,
     parse_poly,
     random_homog,
@@ -193,3 +194,21 @@ def test_compositions_count():
     assert len(compositions(6, 3)) == 28  # C(8,2)
     assert compositions(0, 0) == [()]
     assert compositions(2, 0) == []
+
+
+def _unordered_compositions(total, parts):
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [
+        (v,) + rest
+        for v in range(total + 1)
+        for rest in _unordered_compositions(total - v, parts - 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "total, parts", [(t, p) for t in range(7) for p in range(6)] + [(17, 7)]
+)
+def test_compositions_come_in_grevlex_order(total, parts):
+    expected = sorted(_unordered_compositions(total, parts), key=grevlex_key)
+    assert compositions(total, parts) == expected
