@@ -4,8 +4,9 @@ Everything here is exact: rationals are `fractions.Fraction`, prime-field
 residues are ints in [0, p). The ground field of the geometric engine is Q;
 kernel dimensions of matrices with rational entries agree over Q and over any
 extension field (C included), which is why rational arithmetic suffices for
-the cohomology computations downstream. F_p is used for finite-field scanning
-and for fast cross-checks.
+the cohomology computations downstream. F_p is used for finite-field scanning,
+for fast cross-checks and to propose span-membership coefficients that an
+exact integer identity then proves.
 
 All elimination (echelon form, back-reduction, span membership, rank) goes
 through one sparse row update, `_clear`, which clears one column of a row
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 class FieldMismatchError(ValueError):
@@ -95,6 +96,9 @@ class PrimeField:
         self.p = p
 
     def normalize(self, x):
+        # `type(x) is int` first: the ABC check against Fraction is slow
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             num, den = x.numerator % self.p, x.denominator % self.p
             if den == 0:
@@ -252,12 +256,12 @@ def _field_row(field, vec: dict) -> dict:
         return {c: v % p for c, v in vec.items() if v % p}
     lcm = 1
     for v in vec.values():
-        if isinstance(v, Fraction):
+        if type(v) is not int and isinstance(v, Fraction):
             d = v.denominator
             lcm = lcm // gcd(lcm, d) * d
     row = {}
     for c, v in vec.items():
-        w = int(v * lcm) if isinstance(v, Fraction) else v * lcm
+        w = v * lcm if type(v) is int else int(v * lcm)
         if w:
             row[c] = w
     _strip_content(row)
@@ -442,24 +446,96 @@ def contains_vector(basis: SubspaceBasis, vec: dict) -> bool:
     return rank(m) == basis.dim
 
 
+# The prime of the modular membership solve, and the bound on the numerators
+# and denominators it reconstructs; 2 * _RECON_BOUND**2 < _SPAN_PRIME makes a
+# reconstruction unique.
+_SPAN_PRIME = 2**61 - 1
+_RECON_BOUND = isqrt(_SPAN_PRIME // 2)
+
+
+def _reconstruct(u: int, p: int, bound: int):
+    """The fraction (n, d) with n = u d mod p, |n| <= bound and 0 < d <= bound,
+    or None when there is none (Wang's half-extended Euclid)."""
+    r0, r1, t0, t1 = p, u % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
 class SpanReducer:
     """Echelonize a fixed generating set once, then test membership of many
-    query vectors against the span by reduction. Exact over Q or F_p."""
+    query vectors against the span by reduction. Exact over Q or F_p.
+
+    Over Q a query is first reduced mod the prime _SPAN_PRIME, against monic
+    copies of the echelon rows R_k. The multipliers of that reduction are
+    lifted to rationals x_k, and the query is a member if the exact integer
+    identity D*query = sum_k (D x_k) R_k holds, D the lcm of the
+    denominators. F_p only proposes the coefficients; the identity proves
+    them. When any step fails, the rational reduction runs as it would
+    without this path, so `reduce` returns the same residual either way."""
 
     def __init__(self, field, ncols, generators):
         self.field = field
         self.ncols = ncols
         self._rows = [_field_row(field, g) for g in generators]
         self._pivots = _eliminate(self._rows, ncols, field, reduce=False)
+        if field.kind == "QQ":
+            # per pivot: the inverse of its lead and the monic row mod P, or
+            # None when P divides the lead
+            P = _SPAN_PRIME
+            self._modp = []
+            for col, r in self._pivots:
+                row = self._rows[r]
+                if row[col] % P:
+                    inv = pow(row[col], -1, P)
+                    self._modp.append((inv, {c: v * inv % P for c, v in row.items()}))
+                else:
+                    self._modp.append(None)
 
     @property
     def span_rank(self):
         return len(self._pivots)
 
+    def _certified_member(self, cur: dict) -> bool:
+        """Whether the integer row cur is proven to lie in the span over Q.
+        False means only that no proof was found."""
+        P = _SPAN_PRIME
+        res = {c: v % P for c, v in cur.items() if v % P}
+        coeffs = []
+        for (col, r), modp in zip(self._pivots, self._modp):
+            f = res.get(col)
+            if f is None:
+                continue
+            if modp is None:
+                return False
+            inv, mrow = modp
+            x = _reconstruct(f * inv, P, _RECON_BOUND)
+            if x is None:
+                return False
+            coeffs.append((r, x))
+            _clear(res, col, mrow, P)
+        if res:
+            return False
+        D = 1
+        for _, (_, d) in coeffs:
+            D = D // gcd(D, d) * d
+        total = {}
+        for r, (n, d) in coeffs:
+            m = n * (D // d)
+            for c, v in self._rows[r].items():
+                total[c] = total.get(c, 0) + m * v
+        return {c: v for c, v in total.items() if v} == {c: D * v for c, v in cur.items()}
+
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after reduction against the echelon rows."""
         p = self.field.p if self.field.kind == "Fp" else 0
         cur = _field_row(self.field, vec)
+        if not p and cur and self._certified_member(cur):
+            return {}
         for col, r in self._pivots:
             if col in cur:
                 _clear(cur, col, self._rows[r], p)

@@ -375,21 +375,11 @@ def verify_kernel_membership(sys: FermatSystem, I, P: HomogPoly, a: int) -> bool
 # chart gluing
 
 
-def _dform(f: HomogPoly) -> TensorForm:
-    """df as a weight-1 form: sum_m (df/dZ_m) dZ_m."""
-    nv = f.nvars
-    terms = {}
-    for m in range(nv):
-        pm = f.partial_derivative(m)
-        if not pm.is_zero():
-            terms[tuple(1 if t == m else 0 for t in range(nv))] = pm
-    return TensorForm(nv, 1, terms)
-
-
 class GlueReducer:
     """Reusable membership tester for one (system, I, P) in the graded piece
     where the chart differences live: the span of F_m * (weight-n monomials)
-    and dF_m * (weight-(n-1) monomials) for m in I."""
+    and dF_m * (weight-(n-1) monomials) for m in I. A coordinate is a pair
+    (form exponent, Z monomial), numbered in order of first use."""
 
     def __init__(self, sys: FermatSystem, I, target_z_degree: int, weight: int):
         N = sys.ambient_N
@@ -402,35 +392,33 @@ class GlueReducer:
         z_monos_d = compositions(mult_deg + 1, N + 1)
         w_full = compositions(weight, N + 1)
         w_less = compositions(weight - 1, N + 1) if weight >= 1 else []
-        self._row_index = {}
+        index = self._row_index = {}
+
+        def column(exp, mono):
+            return index.setdefault((exp, mono), len(index))
+
         generators = []
-
-        def vec_of(form: TensorForm):
-            vec = {}
-            for exp, poly in form.terms.items():
-                for mono, coeff in poly.terms.items():
-                    key = (exp, mono)
-                    idx = self._row_index.setdefault(key, len(self._row_index))
-                    vec[idx] = vec.get(idx, 0) + coeff
-            return vec
-
+        # F_j * Z^mono * dZ^wexp
         for j in range(1, sys.c + 1):
-            f = sys.equation(j)
+            terms = sys.equation(j).terms
             for wexp in w_full:
                 for mono in z_monos:
-                    shifted = {mi_add(m, mono): cf for m, cf in f.terms.items()}
-                    poly = HomogPoly(N + 1, shifted)
-                    generators.append(vec_of(TensorForm(N + 1, weight, {wexp: poly})))
+                    generators.append(
+                        {column(wexp, mi_add(m, mono)): cf for m, cf in terms.items()}
+                    )
+        # dF_j * Z^mono * dZ^wexp = sum_m (dF_j/dZ_m) Z^mono dZ^(wexp + e_m)
+        units = [tuple(1 if t == m else 0 for t in range(N + 1)) for m in range(N + 1)]
         for j in I:
-            df = _dform(sys.equation(j))
+            f = sys.equation(j)
+            partials = [(units[m], f.partial_derivative(m).terms) for m in range(N + 1)]
             for wexp in w_less:
-                base = TensorForm(N + 1, weight - 1, {wexp: HomogPoly.constant(N + 1, 1)})
-                prod = df * base
+                parts = [(mi_add(u, wexp), terms) for u, terms in partials if terms]
                 for mono in z_monos_d:
-                    shift = HomogPoly.monomial(mono)
-                    generators.append(vec_of(prod.poly_scaled(shift)))
-        ncols = len(self._row_index)
-        self._reducer = SpanReducer(QQ, ncols, generators)
+                    generators.append({
+                        column(exp, mi_add(m, mono)): cf
+                        for exp, terms in parts for m, cf in terms.items()
+                    })
+        self._reducer = SpanReducer(QQ, len(index), generators)
 
     def contains(self, form: TensorForm) -> bool:
         vec = {}
@@ -569,6 +557,37 @@ def _projective_points(field, basis_vectors, dim_ambient, limit, rng):
     return points
 
 
+def _common_zeros(polys, field):
+    """The points of F_p^N at which all the N-variable polynomials vanish,
+    in lexicographic order. Coordinates are substituted one at a time, with
+    coefficients reduced mod p and a table of powers, so a prefix of the
+    point is substituted once for all the points that extend it."""
+    p = field.p
+    N = polys[0].nvars
+    top = max((max(m) for f in polys for m in f.terms), default=0)
+    powers = [[pow(x, k, p) for k in range(top + 1)] for x in range(p)]
+
+    def walk(prefix, level):
+        # level: per polynomial, {exponents of the later coordinates: residue}
+        if len(prefix) == N - 1:
+            for x, pw in enumerate(powers):
+                if not any(sum(c * pw[m[0]] for m, c in f.items()) % p for f in level):
+                    yield prefix + (x,)
+            return
+        for x, pw in enumerate(powers):
+            nxt = []
+            for f in level:
+                g = {}
+                for m, c in f.items():
+                    tail = m[1:]
+                    g[tail] = (g.get(tail, 0) + c * pw[m[0]]) % p
+                nxt.append(g)
+            yield from walk(prefix + (x,), nxt)
+
+    start = [{m: field.normalize(c) for m, c in f.terms.items()} for f in polys]
+    return walk((), start)
+
+
 def base_locus_scan(
     sys: FermatSystem,
     a: int,
@@ -617,9 +636,7 @@ def base_locus_scan(
             for sub in subsets
         ]
 
-    for z in itertools.product(range(p), repeat=N):
-        if any(f.evaluate(z, field) for f in eqs):
-            continue
+    for z in _common_zeros(eqs, field):
         ci_points += 1
         rows = [[df.evaluate(z, field) for df in row] for row in jacobian]
         tangent = kernel_basis(SparseMatrix.from_rows(field, rows))

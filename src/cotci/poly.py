@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, sub
 
 from .exactalg import QQ, SparseMatrix, rank
 from .rng import SplitMix64
@@ -23,11 +24,11 @@ def grevlex_key(exponents):
 
 
 def mi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mi_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mi_weight(a):
@@ -157,10 +158,6 @@ class HomogPoly(_PolyBase):
     def variable(cls, nvars, i, power=1):
         mono = tuple(power if j == i else 0 for j in range(nvars))
         return cls(nvars, {mono: 1})
-
-    @classmethod
-    def monomial(cls, exponents, coeff=1):
-        return cls(len(exponents), {tuple(exponents): coeff})
 
     def __add__(self, other):
         if self.is_zero():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cotci import exactalg
 from cotci.exactalg import (
     QQ,
     FieldMismatchError,
@@ -274,6 +275,70 @@ def test_span_reducer_is_pure(field):
         assert queries == snapshot
         assert [red.reduce(q) for q in queries] == first
         assert [SpanReducer(field, ncols, gens).reduce(q) for q in queries] == first
+
+
+# the prime of SpanReducer's modular solve over Q
+SPAN_P = exactalg._SPAN_PRIME
+
+
+def plain_residual(red, vec):
+    """The rational reduction alone: the fraction-free `_clear` loop over the
+    reducer's echelon rows, with no modular solve in front of it."""
+    cur = exactalg._field_row(QQ, vec)
+    for col, r in red._pivots:
+        if col in cur:
+            exactalg._clear(cur, col, red._rows[r], 0)
+    return cur
+
+
+def assert_twins(red, member, col):
+    # member + P e_col agrees with a member mod P, so the F_P solve accepts
+    # it; only the exact identity tells the two apart
+    twin = dict(member)
+    twin[col] = twin.get(col, 0) + SPAN_P
+    assert red.contains(member)
+    assert red.reduce(member) == plain_residual(red, member) == {}
+    assert not red.contains(twin)
+    assert red.reduce(twin) == plain_residual(red, twin)
+
+
+def test_span_reducer_rejects_non_members_congruent_to_members():
+    red = SpanReducer(QQ, 2, [{0: 1, 1: 1}])
+    assert_twins(red, {0: 1, 1: 1}, 1)
+    assert red.reduce({0: 1, 1: 1 + SPAN_P}) == {1: 1}
+    rng = SplitMix64(47)
+    for nrows, ncols, density in [(8, 13, 0.2), (30, 60, 0.05)]:
+        gens = random_sparse(rng, QQ, nrows, ncols, density).row_dicts()
+        red = SpanReducer(QQ, ncols, gens)
+        basis = SubspaceBasis(QQ, ncols, rref_vectors(QQ, ncols, gens))
+        outside = [c for c in range(ncols) if not contains_vector(basis, {c: 1})]
+        assert outside
+        for k in range(4):
+            assert_twins(red, random_combination(rng, gens), outside[k % len(outside)])
+
+
+def test_span_reducer_accepts_coefficients_past_the_reconstruction_bound():
+    bound = exactalg._RECON_BOUND
+    # rows R1 = (1, 0, 1), R2 = (0, 1, 1): R1 + M R2 has the coefficient M
+    red = SpanReducer(QQ, 3, [{0: 1, 2: 1}, {1: 1, 2: 1}])
+    for M in (bound + 1, 2**40, 3**40 + 1, -(7**25), SPAN_P - 1, SPAN_P, 3 * SPAN_P):
+        assert_twins(red, {0: 1, 1: M, 2: 1 + M}, 2)
+    # rows (L, 0, 1), (0, L, L - 1): (1, 1, 1) has the coefficients 1/L
+    for L in (bound + 2, 2**41 + 1, 3**45):
+        red = SpanReducer(QQ, 3, [{0: L, 2: 1}, {1: L, 2: L - 1}])
+        assert_twins(red, {0: 1, 1: 1, 2: 1}, 2)
+
+
+def test_span_reducer_with_a_pivot_lead_divisible_by_the_prime():
+    # rows (P, 1, 0) and (0, 1, 1): the first lead vanishes mod P
+    red = SpanReducer(QQ, 3, [{0: SPAN_P, 1: 1}, {1: 1, 2: 1}])
+    assert red.span_rank == 2
+    assert_twins(red, {1: 1, 2: 1}, 2)
+    assert_twins(red, {0: SPAN_P, 1: 4, 2: 3}, 2)
+    assert_twins(red, {0: 2 * SPAN_P, 1: Fraction(9, 5), 2: Fraction(-1, 5)}, 1)
+    for query in ({1: 1}, {0: 1}, {0: 1, 1: 1}, {2: SPAN_P}):
+        assert not red.contains(query)
+        assert red.reduce(query) == plain_residual(red, query)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)])

@@ -8,6 +8,7 @@ from cotci.fermat import (
     FermatError,
     FermatSystem,
     TensorForm,
+    _common_zeros,
     affine_form,
     base_locus_scan,
     build_B,
@@ -361,6 +362,32 @@ def test_scan_degenerate_equal_rows():
     assert rep.counts["criterion_zero"] == 0
     assert rep.counts["nonzero"] == 0
     assert rep.counts["rank_drop_b"] > 0
+
+
+@pytest.mark.parametrize("N,p", [(1, 7), (2, 5), (3, 3), (4, 3)])
+def test_common_zeros_match_pointwise_evaluation(N, p):
+    # the scanner's complete-intersection test, substituted coordinate by
+    # coordinate, against evaluating every polynomial at every point
+    rng = SplitMix64(60 + N)
+    polys = []
+    for _ in range(2):
+        terms = {
+            tuple(rng.randint(0, 4) for _ in range(N)): rng.nonzero_coeff() for _ in range(6)
+        }
+        polys.append(AffinePoly(N, terms))
+    # a Fraction coefficient, a polynomial divisible by p and the zero polynomial
+    polys.append(polys[0] * AffinePoly(N, {(0,) * N: Fraction(1, 2)}) + polys[1])
+    polys.append(polys[0].scaled(p))
+    field = PrimeField(p)
+    for chosen in ([polys[0]], polys[:2], polys[2:], [AffinePoly.zero(N)]):
+        expected = [
+            z for z in itertools.product(range(p), repeat=N)
+            if not any(f.evaluate(z, field) for f in chosen)
+        ]
+        assert list(_common_zeros(chosen, field)) == expected
+    assert list(_common_zeros([polys[1].scaled(p)], field)) == list(
+        itertools.product(range(p), repeat=N)
+    )
 
 
 def test_scan_cap_and_warning():
