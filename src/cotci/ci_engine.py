@@ -250,20 +250,10 @@ def expected_euler_image_dim(space: CohomSpace) -> int:
 
     Each step trades one untilded factor S^l for the tilde pair
     (S^l tilde) minus (S^{l-1} tilde); the recursion bottoms out at the
-    product formula. Exact binomial arithmetic, no matrices.
+    product formula `CohomSpace.dim`. Exact binomial arithmetic, no matrices.
     """
     N = space.ambient_N
     a = space.twist
-
-    def product_dim(degs):
-        w = sum(degs) - a
-        if w < N + 1:
-            return 0
-        d = comb(w - 1, N)
-        for l in degs:
-            d *= comb(l + N, N)
-        return d
-
     memo = {}
 
     def rec(state):
@@ -276,7 +266,7 @@ def expected_euler_image_dim(space: CohomSpace) -> int:
                 val = rec(up) - rec(down)
                 memo[state] = val
                 return val
-        val = product_dim(tuple(l for l, _ in state))
+        val = CohomSpace(N, tuple(l for l, _ in state), a).dim()
         memo[state] = val
         return val
 
@@ -676,8 +666,6 @@ def jump_experiment(e, trials, seed, avec=(0, 1, 2, 3, 4), cap=DEFAULT_BASIS_CAP
     the recorded (never asserted) degenerate stratum beta1 = a0*alpha1."""
     if e < 5:
         raise EngineError("jump experiment needs e >= 5")
-    if len(set(avec)) != 5:
-        raise EngineError("diagonal coefficients must be pairwise distinct")
     rng = SplitMix64(seed)
     dim0, _ = jump_dimension(e, (0, 0), (0, 0), avec, cap)
     random_dims = []

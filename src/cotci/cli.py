@@ -247,9 +247,7 @@ def _run_fermat_verify(cfg: RunConfig):
     # Q times the determinant vanishes wherever the determinant does, for
     # every numerator Q, so the check is on the determinant itself
     form = fermat_mod.affine_form(sys_, I)
-    wvan = {
-        str(i): form.substitute_pair_zero(i).is_zero() for i in range(1, N + 1)
-    }
+    wvan = {str(i): fermat_mod.vanishes_on_pair(form, i) for i in range(1, N + 1)}
     ok = membership and all(glue.values()) and all(wvan.values())
     payload = {
         "N": N,

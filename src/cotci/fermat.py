@@ -7,6 +7,13 @@ forms (b- and beta-letters), verifies kernel membership and chart gluing by
 exact linear algebra, scans base loci over prime fields through the rank
 criterion rk B < c or rk [B; B'] < N, and runs the genericity probes backing
 the dimension-count arguments.
+
+A symmetric form of weight w is a HomogPoly in the 2(N+1) variables
+Z_0..Z_N, dZ_0..dZ_N, and a jet-space form an AffinePoly in z_1..z_N,
+xi_1..xi_N; every term has degree w in the second half of the variables.
+So forms are added, multiplied and evaluated by the arithmetic of `poly`,
+and the layout itself is written only here: `_lift` pads a scalar
+polynomial to a weight-0 form, and `letters` appends the dZ exponent.
 """
 
 from __future__ import annotations
@@ -26,115 +33,25 @@ class FermatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# symmetric-form carrier: polynomial coefficients against a dZ (or xi) basis
+# forms: polynomials in (Z, dZ), or in (z, xi) on the jet space
 
 
-class TensorForm:
-    """Element of S^w V tensor polynomials: sparse map from a degree-w
-    exponent tuple over the form variables to a coefficient polynomial.
-    With AffinePoly coefficients in the jet coordinates z it is a jet-space
-    form of degree w in the direction xi."""
+def _lift(v):
+    """The scalar polynomial v as a weight-0 form: a polynomial in twice its
+    variables whose second half, the differentials, is absent."""
+    pad = (0,) * v.nvars
+    return type(v)(2 * v.nvars, {m + pad: c for m, c in v.terms.items()})
 
-    __slots__ = ("form_nvars", "weight", "terms")
 
-    def __init__(self, form_nvars, weight, terms=None):
-        self.form_nvars = form_nvars
-        self.weight = weight
-        self.terms = {}
-        if terms:
-            for exp, poly in terms.items():
-                if poly.is_zero():
-                    continue
-                if len(exp) != form_nvars or sum(exp) != weight:
-                    raise ValueError(f"form exponent {exp} invalid for weight {weight}")
-                self.terms[exp] = poly
-
-    @classmethod
-    def scalar(cls, form_nvars, poly):
-        return cls(form_nvars, 0, {(0,) * form_nvars: poly})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.form_nvars != other.form_nvars or self.weight != other.weight:
-            raise ValueError("form shape mismatch")
-        terms = dict(self.terms)
-        for exp, poly in other.terms.items():
-            cur = terms.get(exp)
-            s = poly if cur is None else cur + poly
-            if s.is_zero():
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-        return TensorForm(self.form_nvars, self.weight, terms)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __mul__(self, other):
-        if self.form_nvars != other.form_nvars:
-            raise ValueError("form shape mismatch")
-        terms = {}
-        for e1, p1 in self.terms.items():
-            for e2, p2 in other.terms.items():
-                exp = mi_add(e1, e2)
-                prod = p1 * p2
-                cur = terms.get(exp)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    terms.pop(exp, None)
-                else:
-                    terms[exp] = s
-        return TensorForm(self.form_nvars, self.weight + other.weight, terms)
-
-    def scaled(self, scalar):
-        return TensorForm(
-            self.form_nvars,
-            self.weight,
-            {e: p.scaled(scalar) for e, p in self.terms.items()},
-        )
-
-    def poly_scaled(self, poly):
-        """Multiply every coefficient by a polynomial (no form-variable change)."""
-        return TensorForm(
-            self.form_nvars,
-            self.weight,
-            {e: p * poly for e, p in self.terms.items()},
-        )
-
-    def evaluate(self, z, xi, field=QQ):
-        """Value at the point z in the direction xi."""
-        total = 0
-        for exp, poly in self.terms.items():
-            v = poly.evaluate(z, field)
-            for x, p_ in zip(xi, exp):
-                if p_:
-                    v *= x**p_
-            total += v
-        return field.normalize(total)
-
-    def substitute_pair_zero(self, i: int) -> "TensorForm":
-        """Set z_i = 0 and xi_i = 0 (1-based i); used for the W-vanishing check."""
-        idx = i - 1
-        terms = {}
-        for exp, poly in self.terms.items():
-            if exp[idx] == 0:
-                kept = {m: c for m, c in poly.terms.items() if m[idx] == 0}
-                terms[exp] = type(poly)(poly.nvars, kept)
-        return TensorForm(self.form_nvars, self.weight, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorForm)
-            and self.form_nvars == other.form_nvars
-            and self.weight == other.weight
-            and self.terms == other.terms
-        )
+def vanishes_on_pair(form, i: int) -> bool:
+    """Whether the form vanishes where z_i = 0 and xi_i = 0 (1-based i): no
+    term is free of both. Used for the W-vanishing check."""
+    n = form.nvars // 2
+    return all(m[i - 1] or m[n + i - 1] for m in form.terms)
 
 
 def form_determinant(rows):
-    """Determinant of a square matrix of TensorForm entries (Laplace expansion
+    """Determinant of a square matrix of polynomial entries (Laplace expansion
     along the first row, memoized on the remaining column set)."""
     size = len(rows)
     if any(len(r) != size for r in rows):
@@ -160,9 +77,7 @@ def form_determinant(rows):
                 term = term.scaled(-1)
             acc = term if acc is None else acc + term
         if acc is None:
-            sample = rows[r][cols[0]]
-            zero_w = sum(rw[cols[0]].weight for rw in rows[r:])
-            acc = TensorForm(sample.form_nvars, zero_w, {})
+            acc = rows[r][cols[0]].scaled(0)
         memo[key] = acc
         return acc
 
@@ -248,23 +163,24 @@ def random_fermat_system(N, c, epsilon, e, seed) -> FermatSystem:
 
 
 def letters(v, i: int, e: int):
-    """(a_i(v), alpha_i(v)): Z_i v and the weight-1 form Z_i dv + e v dZ_i.
+    """(a_i(v), alpha_i(v)): the polynomial Z_i v and the weight-1 form
+    Z_i dv + e v dZ_i, a polynomial in (Z, dZ).
 
     `v` is a HomogPoly or an AffinePoly; for an AffinePoly in jet
-    coordinates, i = q - 1 gives (b_q(v), beta_q(v)) for the variable z_q.
+    coordinates, i = q - 1 gives (b_q(v), beta_q(v)) for the variable z_q,
+    with beta a polynomial in (z, xi).
     """
     nv = v.nvars
     zi = type(v).variable(nv, i)
-    a = zi * v
     terms = {}
     for m in range(nv):
         coeff = zi * v.partial_derivative(m)
         if m == i:
             coeff = coeff + v.scaled(e)
-        if not coeff.is_zero():
-            exp = tuple(1 if t == m else 0 for t in range(nv))
-            terms[exp] = coeff
-    return a, TensorForm(nv, 1, terms)
+        dz = tuple(1 if t == m else 0 for t in range(nv))
+        for mono, c in coeff.terms.items():
+            terms[mono + dz] = c
+    return zi * v, type(v)(2 * nv, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +210,8 @@ def build_Bprime(grid, z, xi, field=QQ):
     """c x N matrix beta_i(t_i^j, z, xi) = z_i dt(xi) + e t(z) xi_i."""
     if all(x == 0 for x in xi):
         raise FermatError("jet direction xi must be nonzero")
-    return [[beta.evaluate(z, xi, field) for _, beta in row] for row in grid]
+    point = (*z, *xi)
+    return [[beta.evaluate(point, field) for _, beta in row] for row in grid]
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +227,15 @@ def _check_index_tuple(sys, I):
         raise FermatError(f"indices must lie in 1..{sys.c}")
 
 
-def _letter_determinant(grid, I) -> TensorForm:
+def _letter_determinant(grid, I):
     """Determinant with one row of scalar letters per grid row and one row of
     form letters per index of I (1-based grid rows)."""
-    nvars = grid[0][0][0].nvars
-    rows = [[TensorForm.scalar(nvars, a) for a, _ in line] for line in grid]
+    rows = [[_lift(a) for a, _ in line] for line in grid]
     rows += [[al for _, al in grid[j - 1]] for j in I]
     return form_determinant(rows)
 
 
-def tilde_cocycle(sys: FermatSystem, I, P: HomogPoly, chart: int) -> TensorForm:
+def tilde_cocycle(sys: FermatSystem, I, P: HomogPoly, chart: int) -> HomogPoly:
     """Numerator of the chart representative of the determinantal section:
     (-1)^chart P times the determinant with the c a-rows and the n alpha-rows
     of I, column `chart` deleted. The section is this over Z_chart^{e-1}."""
@@ -334,7 +250,7 @@ def tilde_cocycle(sys: FermatSystem, I, P: HomogPoly, chart: int) -> TensorForm:
     columns = _chart_columns(sys, chart)
     grid = [[letters(row[i], i, sys.e) for i in columns] for row in sys.s]
     det = _letter_determinant(grid, I)
-    return det.poly_scaled(P).scaled((-1) ** chart)
+    return (det * _lift(P)).scaled((-1) ** chart)
 
 
 def verify_kernel_membership(sys: FermatSystem, I, P: HomogPoly, a: int) -> bool:
@@ -378,8 +294,8 @@ def verify_kernel_membership(sys: FermatSystem, I, P: HomogPoly, a: int) -> bool
 class GlueReducer:
     """Reusable membership tester for one (system, I, P) in the graded piece
     where the chart differences live: the span of F_m * (weight-n monomials)
-    and dF_m * (weight-(n-1) monomials) for m in I. A coordinate is a pair
-    (form exponent, Z monomial), numbered in order of first use."""
+    and dF_m * (weight-(n-1) monomials) for m in I. A coordinate is a
+    monomial in (Z, dZ), numbered in order of first use."""
 
     def __init__(self, sys: FermatSystem, I, target_z_degree: int, weight: int):
         N = sys.ambient_N
@@ -394,8 +310,8 @@ class GlueReducer:
         w_less = compositions(weight - 1, N + 1) if weight >= 1 else []
         index = self._row_index = {}
 
-        def column(exp, mono):
-            return index.setdefault((exp, mono), len(index))
+        def column(mono, exp):
+            return index.setdefault(mono + exp, len(index))
 
         generators = []
         # F_j * Z^mono * dZ^wexp
@@ -404,7 +320,7 @@ class GlueReducer:
             for wexp in w_full:
                 for mono in z_monos:
                     generators.append(
-                        {column(wexp, mi_add(m, mono)): cf for m, cf in terms.items()}
+                        {column(mi_add(m, mono), wexp): cf for m, cf in terms.items()}
                     )
         # dF_j * Z^mono * dZ^wexp = sum_m (dF_j/dZ_m) Z^mono dZ^(wexp + e_m)
         units = [tuple(1 if t == m else 0 for t in range(N + 1)) for m in range(N + 1)]
@@ -415,20 +331,18 @@ class GlueReducer:
                 parts = [(mi_add(u, wexp), terms) for u, terms in partials if terms]
                 for mono in z_monos_d:
                     generators.append({
-                        column(exp, mi_add(m, mono)): cf
+                        column(mi_add(m, mono), exp): cf
                         for exp, terms in parts for m, cf in terms.items()
                     })
         self._reducer = SpanReducer(QQ, len(index), generators)
 
-    def contains(self, form: TensorForm) -> bool:
+    def contains(self, form: HomogPoly) -> bool:
         vec = {}
-        for exp, poly in form.terms.items():
-            for mono, coeff in poly.terms.items():
-                key = (exp, mono)
-                idx = self._row_index.get(key)
-                if idx is None:
-                    return False
-                vec[idx] = vec.get(idx, 0) + coeff
+        for mono, coeff in form.terms.items():
+            idx = self._row_index.get(mono)
+            if idx is None:
+                return False
+            vec[idx] = coeff
         return self._reducer.contains(vec)
 
 
@@ -450,9 +364,9 @@ def verify_glue(sys: FermatSystem, numerators, chart_a: int, chart_b: int,
     differentials of I's equations in its graded piece. `numerators[k]` is
     the `tilde_cocycle` numerator of chart k, and `reducer` comes from
     `glue_reducer_for` with the same I and P."""
-    za = HomogPoly.variable(sys.ambient_N + 1, chart_a, sys.r)
-    zb = HomogPoly.variable(sys.ambient_N + 1, chart_b, sys.r)
-    diff = numerators[chart_a].poly_scaled(zb) - numerators[chart_b].poly_scaled(za)
+    za = _lift(HomogPoly.variable(sys.ambient_N + 1, chart_a, sys.r))
+    zb = _lift(HomogPoly.variable(sys.ambient_N + 1, chart_b, sys.r))
+    diff = numerators[chart_a] * zb - numerators[chart_b] * za
     return diff.is_zero() or reducer.contains(diff)
 
 
@@ -460,9 +374,9 @@ def verify_glue(sys: FermatSystem, numerators, chart_a: int, chart_b: int,
 # affine symmetric forms
 
 
-def affine_form(sys: FermatSystem, I) -> TensorForm:
+def affine_form(sys: FermatSystem, I) -> AffinePoly:
     """The full N x N determinant of b-rows and beta-rows in the chart-0 jet
-    coordinates z_q = Z_q/Z_0, a form of weight n in the jet direction xi.
+    coordinates z_q = Z_q/Z_0: a polynomial in (z, xi) of degree n in xi.
     A numerator Q only multiplies it, so where it vanishes every Q-multiple
     vanishes too."""
     _check_index_tuple(sys, I)
@@ -741,7 +655,7 @@ def genericity_probes(
         pairs = unit_letters[q - 1]
         return (
             [b.evaluate(z, field) for b, _ in pairs],
-            [beta.evaluate(z, xi, field) for _, beta in pairs],
+            [beta.evaluate((*z, *xi), field) for _, beta in pairs],
         )
 
     for _ in range(trials):

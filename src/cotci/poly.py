@@ -69,6 +69,15 @@ class _PolyBase:
                     raise ValueError(f"monomial {mono} has wrong arity")
                 self.terms[mono] = coeff
 
+    @classmethod
+    def constant(cls, nvars, value):
+        return cls(nvars, {(0,) * nvars: value})
+
+    @classmethod
+    def variable(cls, nvars, i, power=1):
+        mono = tuple(power if j == i else 0 for j in range(nvars))
+        return cls(nvars, {mono: 1})
+
     def is_zero(self):
         return not self.terms
 
@@ -149,15 +158,6 @@ class HomogPoly(_PolyBase):
     @classmethod
     def zero(cls, nvars, degree=0):
         return cls(nvars, {}, degree)
-
-    @classmethod
-    def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, nvars, i, power=1):
-        mono = tuple(power if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mono: 1})
 
     def __add__(self, other):
         if self.is_zero():
@@ -250,15 +250,6 @@ class AffinePoly(_PolyBase):
     @classmethod
     def zero(cls, nvars):
         return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, nvars, i, power=1):
-        mono = tuple(power if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mono: 1})
 
     def __add__(self, other):
         return AffinePoly(self.nvars, self._combine(other, 1))
@@ -482,7 +473,9 @@ def deformed_fermat_pair(e, alpha, beta, avec):
     deformation monomials Z0^e1 Z1^e2 and Z2^e1 Z3^e2, e1 = floor(e/2)."""
     if e < 5:
         raise ValueError("deformation family needs e >= 5")
-    if len(avec) != 5 or len(set(avec)) != 5:
+    if len(avec) != 5:
+        raise ValueError(f"the deformed pair needs five diagonal coefficients, got {len(avec)}")
+    if len(set(avec)) != 5:
         raise ValueError("the five diagonal coefficients must be pairwise distinct")
     e1, e2 = e // 2, e - e // 2
     a1, a2 = alpha

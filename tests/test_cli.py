@@ -267,6 +267,30 @@ def test_trials_below_one_exit_1_before_any_work(args, monkeypatch, capsys, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["jump", "--e", "5", "--trials", "1"],
+        ["cohomology", "--N", "4", "--c", "2", "--e", "5", "--ell", "2", "--alpha", "1,2"],
+    ],
+    ids=["jump", "cohomology-alpha"],
+)
+@pytest.mark.parametrize(
+    "avec, why",
+    [
+        ("0,1,2,3,4,4", "the deformed pair needs five diagonal coefficients, got 6"),
+        ("0,1,2", "the deformed pair needs five diagonal coefficients, got 3"),
+        ("0,1,2,3,3", "the five diagonal coefficients must be pairwise distinct"),
+    ],
+    ids=["six", "three", "repeat"],
+)
+def test_avec_must_be_five_distinct_values(command, avec, why, capsys, tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.main([*command, "--avec", avec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {why}"]
+    assert not out.exists()
+
+
 def test_cap_env_override(tmp_path):
     code, _, err = run_cli(
         ["jump", "--e", "5", "--trials", "1", "--seed", "1"],

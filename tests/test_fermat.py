@@ -7,8 +7,8 @@ from cotci.exactalg import QQ, PrimeField, SparseMatrix, rank
 from cotci.fermat import (
     FermatError,
     FermatSystem,
-    TensorForm,
     _common_zeros,
+    _lift,
     affine_form,
     base_locus_scan,
     build_B,
@@ -20,6 +20,7 @@ from cotci.fermat import (
     letters,
     random_fermat_system,
     tilde_cocycle,
+    vanishes_on_pair,
     verify_glue,
     verify_kernel_membership,
 )
@@ -47,19 +48,33 @@ def chart_numerators(sys_, I, P):
 
 
 def cleared_difference(sys_, numerators, a, b):
-    za = HomogPoly.variable(sys_.ambient_N + 1, a, sys_.r)
-    zb = HomogPoly.variable(sys_.ambient_N + 1, b, sys_.r)
-    return numerators[a].poly_scaled(zb) - numerators[b].poly_scaled(za)
+    za = _lift(HomogPoly.variable(sys_.ambient_N + 1, a, sys_.r))
+    zb = _lift(HomogPoly.variable(sys_.ambient_N + 1, b, sys_.r))
+    return numerators[a] * zb - numerators[b] * za
+
+
+def split_form(form):
+    """{exponent of the differentials: coefficient polynomial} of a form in
+    (Z, dZ) or (z, xi), the first half of each monomial being the
+    coefficient's."""
+    n = form.nvars // 2
+    parts = {}
+    for mono, c in form.terms.items():
+        parts.setdefault(mono[n:], {})[mono[:n]] = c
+    return {exp: type(form)(n, terms) for exp, terms in parts.items()}
 
 
 def test_letters_examples():
     one = HomogPoly.constant(3, 1)
     a, al = letters(one, 1, 4)
     assert a == HomogPoly.variable(3, 1)
-    assert al.terms == {(0, 1, 0): HomogPoly.constant(3, 4)}
+    # 4 dZ_1
+    assert al == HomogPoly(6, {(0, 0, 0, 0, 1, 0): 4})
     z0 = HomogPoly.variable(3, 0)
     _, al = letters(z0, 1, 4)
-    assert al.terms == {
+    # Z_1 dZ_0 + 4 Z_0 dZ_1
+    assert al == HomogPoly(6, {(0, 1, 0, 1, 0, 0): 1, (1, 0, 0, 0, 1, 0): 4})
+    assert split_form(al) == {
         (1, 0, 0): HomogPoly.variable(3, 1),
         (0, 1, 0): z0.scaled(4),
     }
@@ -69,7 +84,8 @@ def test_affine_letters_example():
     one = AffinePoly.constant(2, 1)
     b, be = letters(one, 0, 5)
     assert b == AffinePoly.variable(2, 0)
-    assert be.terms == {(1, 0): AffinePoly.constant(2, 5)}
+    # 5 xi_1
+    assert be == AffinePoly(4, {(0, 0, 1, 0): 5})
 
 
 def test_build_B_zero_column_and_rank():
@@ -121,7 +137,7 @@ def test_tilde_cocycle_plane_curve_specialization():
         vertex_form = descent.chart_cocycles[chart]["form"]
         # descent vertex: sign * (P/(e F_chart)) * sum coeff dZ_m; clearing
         # F_chart = e s Z^r, both sides live over Z_chart^r
-        for exp, poly in det.terms.items():
+        for exp, poly in split_form(det).items():
             m = exp.index(1)
             want_text = vertex_form.get(f"dZ{m}")
             assert want_text is not None
@@ -179,9 +195,9 @@ def test_glue_plane_curve_and_corrupted_sign():
     for a, b in itertools.combinations(range(3), 2):
         assert verify_glue(sys_, nums, a, b, red)
     # corrupting the relative sign must break the gluing
-    za = HomogPoly.variable(3, 0, sys_.r)
-    zb = HomogPoly.variable(3, 1, sys_.r)
-    bad = nums[0].poly_scaled(zb) + nums[1].poly_scaled(za)
+    za = _lift(HomogPoly.variable(3, 0, sys_.r))
+    zb = _lift(HomogPoly.variable(3, 1, sys_.r))
+    bad = nums[0] * zb + nums[1] * za
     assert not red.contains(bad)
 
 
@@ -219,8 +235,8 @@ def test_glue_reducer_degree_matches_every_difference(sys_, I, P):
     nonzero = 0
     for a, b in itertools.combinations(range(sys_.ambient_N + 1), 2):
         diff = cleared_difference(sys_, nums, a, b)
-        assert diff.weight == sys_.n
-        assert {poly.degree for poly in diff.terms.values()} <= {deg}
+        assert all(sum(exp) == sys_.n for exp in split_form(diff))
+        assert {poly.degree for poly in split_form(diff).values()} <= {deg}
         nonzero += not diff.is_zero()
         assert verify_glue(sys_, nums, a, b, red)
     assert nonzero > 0
@@ -229,10 +245,10 @@ def test_glue_reducer_degree_matches_every_difference(sys_, I, P):
 def test_affine_form_w_vanishing_symbolic():
     sys_ = crit6_system()
     form = affine_form(sys_, (1, 2))
-    assert form.weight == 2
+    assert {sum(xi_exp) for xi_exp in split_form(form)} == {2}
     assert not form.is_zero()
     for i in range(1, 5):
-        assert form.substitute_pair_zero(i).is_zero()
+        assert vanishes_on_pair(form, i)
 
 
 @pytest.mark.parametrize(
@@ -249,7 +265,34 @@ def test_affine_form_is_nonzero_and_vanishes_on_every_pair(sys_, I):
     form = affine_form(sys_, I)
     assert not form.is_zero()
     for i in range(1, sys_.ambient_N + 1):
-        assert form.substitute_pair_zero(i).is_zero()
+        assert vanishes_on_pair(form, i)
+
+
+@pytest.mark.parametrize("N", [1, 3, 4])
+def test_vanishes_on_pair_needs_z_i_or_xi_i_in_every_term(N):
+    # a jet form in (z_1..z_N, xi_1..xi_N): position i - 1 holds z_i and
+    # position N + i - 1 holds xi_i
+    def form(*monos):
+        return AffinePoly(2 * N, {m: 1 for m in monos})
+
+    def mono(i, z=False, xi=False, others=False):
+        # z_i and xi_i as asked; with `others`, every variable of the other pairs
+        zs = tuple(int(z if k == i else others) for k in range(1, N + 1))
+        xis = tuple(int(xi if k == i else others) for k in range(1, N + 1))
+        return zs + xis
+
+    for i in range(1, N + 1):
+        # every term carries z_i or xi_i: the form vanishes on the pair
+        assert vanishes_on_pair(form(mono(i, z=True)), i)
+        assert vanishes_on_pair(form(mono(i, xi=True)), i)
+        assert vanishes_on_pair(form(mono(i, z=True), mono(i, xi=True, others=True)), i)
+        # a term free of both z_i and xi_i, even one holding every other
+        # variable, keeps it from vanishing
+        assert not vanishes_on_pair(form(mono(i)), i)
+        assert not vanishes_on_pair(form(mono(i, others=True)), i)
+        assert not vanishes_on_pair(form(mono(i, z=True), mono(i, others=True)), i)
+        assert not vanishes_on_pair(form(mono(i, xi=True), mono(i, others=True)), i)
+    assert vanishes_on_pair(AffinePoly.zero(2 * N), 1)
 
 
 def test_affine_form_alternating():
@@ -262,7 +305,7 @@ def test_affine_form_alternating():
     rows = []
     for j in (1, 2):
         rows.append(
-            [TensorForm.scalar(4, letters(t[j - 1][q], q - 1, sys_.e)[0]) for q in range(1, 5)]
+            [_lift(letters(t[j - 1][q], q - 1, sys_.e)[0]) for q in range(1, 5)]
         )
     beta_row = [letters(t[0][q], q - 1, sys_.e)[1] for q in range(1, 5)]
     rows.append(beta_row)
@@ -296,7 +339,7 @@ def test_affine_form_matches_numeric_determinant():
             assert build_B(grid, z, field) == B
             assert build_Bprime(grid, z, xi, field) == Bp
             det = _plain_det(B + [Bp[0]], field)
-            assert form.evaluate(z, xi, field) == det
+            assert form.evaluate((*z, *xi), field) == det
 
 
 def _plain_det(rows, field):
