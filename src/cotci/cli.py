@@ -20,7 +20,16 @@ from fractions import Fraction
 from . import __version__
 from . import cech, ci_engine, fermat as fermat_mod, lambdacalc as lam
 from .cech import DEFAULT_BASIS_CAP, BasisCapExceeded
-from .poly import HomogPoly, PolyParseError, parse_poly
+from .poly import (
+    HomogPoly,
+    PolyParseError,
+    deformed_fermat_pair,
+    fermat_generic_system,
+    minors_nonzero,
+    parse_poly,
+    vandermonde_coeff_rows,
+)
+from .rng import SplitMix64
 
 COMMANDS = ("curve", "cohomology", "witness", "jump", "fermat-verify", "baselocus", "probes")
 
@@ -99,10 +108,11 @@ def _run_curve(cfg: RunConfig):
 
 
 def _build_equations(cfg: RunConfig, N, c, degrees):
-    from .poly import fermat_generic_system, vandermonde_coeff_rows
-    from .rng import SplitMix64
-
+    seed = cfg.params.get("seed")
+    # a flag the chosen construction does not read is an error, not a no-op
     if cfg.params.get("alpha") is not None or cfg.params.get("beta") is not None:
+        if seed is not None:
+            raise UsageError("--seed is not read with --alpha/--beta: the deformed pair is fixed")
         if (N, c) != (4, 2):
             raise UsageError("--alpha/--beta describe the 5-variable deformed pair (N=4, c=2)")
         alpha = cfg.params.get("alpha") or (Fraction(0), Fraction(0))
@@ -111,26 +121,19 @@ def _build_equations(cfg: RunConfig, N, c, degrees):
         e = degrees[0]
         if any(d != e for d in degrees):
             raise UsageError("the deformed pair has a single degree")
-        from .poly import deformed_fermat_pair
-
-        F, G = deformed_fermat_pair(e, alpha, beta, avec)
-        return [F, G]
-    seed = cfg.params.get("seed")
+        return list(deformed_fermat_pair(e, alpha, beta, avec))
+    if cfg.params.get("avec") is not None:
+        raise UsageError("--avec is read only with --alpha/--beta")
     if seed is None:
         rows = vandermonde_coeff_rows(N, c)
-        eqs = []
-        for j, d in enumerate(degrees):
-            eqs.append(fermat_generic_system(N, 1, d, [rows[j]])[0])
-        return eqs
-    rng = SplitMix64(seed)
-    from .poly import minors_nonzero
-
-    while True:
-        rows = [
-            [Fraction(rng.nonzero_coeff()) for _ in range(N + 1)] for _ in range(c)
-        ]
-        if minors_nonzero(rows, c)[0]:
-            break
+    else:
+        rng = SplitMix64(seed)
+        while True:
+            rows = [
+                [Fraction(rng.nonzero_coeff()) for _ in range(N + 1)] for _ in range(c)
+            ]
+            if minors_nonzero(rows, c)[0]:
+                break
     return [
         fermat_generic_system(N, 1, d, [rows[j]])[0] for j, d in enumerate(degrees)
     ]
@@ -238,15 +241,18 @@ def _run_fermat_verify(cfg: RunConfig):
     else:
         P = HomogPoly.variable(N + 1, 0, maxdeg)
     membership = fermat_mod.verify_kernel_membership(sys_, I, P, a)
-    numerators = [fermat_mod.tilde_cocycle(sys_, I, P, chart) for chart in range(N + 1)]
+    # the reducer's elimination is the command's peak of memory, so it runs
+    # before the minors and numerators are held
     reducer = fermat_mod.glue_reducer_for(sys_, I, P)
+    minors = fermat_mod.letter_minors(sys_, I)
+    numerators = fermat_mod.tilde_cocycle(sys_, minors, P)
     glue = {
         f"{ja},{jb}": fermat_mod.verify_glue(sys_, numerators, ja, jb, reducer)
         for ja, jb in itertools.combinations(range(N + 1), 2)
     }
     # Q times the determinant vanishes wherever the determinant does, for
     # every numerator Q, so the check is on the determinant itself
-    form = fermat_mod.affine_form(sys_, I)
+    form = fermat_mod.affine_form(minors[0])
     wvan = {str(i): fermat_mod.vanishes_on_pair(form, i) for i in range(1, N + 1)}
     ok = membership and all(glue.values()) and all(wvan.values())
     payload = {

@@ -2,11 +2,11 @@
 
 The systems are F_{s^j} = sum_i s_i^j Z_i^e with degree-epsilon polynomial
 coefficients s_i^j. This module builds the determinantal cocycles attached to
-such a system (rows of a- and alpha-letters), their dehomogenized jet-space
-forms (b- and beta-letters), verifies kernel membership and chart gluing by
-exact linear algebra, scans base loci over prime fields through the rank
-criterion rk B < c or rk [B; B'] < N, and runs the genericity probes backing
-the dimension-count arguments.
+such a system (the maximal minors of one grid of a- and alpha-letters) and
+their jet-space form (the chart-0 minor at Z_0 = 1, dZ_0 = 0), verifies
+kernel membership and chart gluing by exact linear algebra, scans base loci
+over prime fields through the rank criterion rk B < c or rk [B; B'] < N, and
+runs the genericity probes backing the dimension-count arguments.
 
 A symmetric form of weight w is a HomogPoly in the 2(N+1) variables
 Z_0..Z_N, dZ_0..dZ_N, and a jet-space form an AffinePoly in z_1..z_N,
@@ -19,7 +19,7 @@ polynomial to a weight-0 form, and `letters` appends the dZ exponent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import cech
 from .cech import CohomClass, CohomSpace
@@ -50,38 +50,40 @@ def vanishes_on_pair(form, i: int) -> bool:
     return all(m[i - 1] or m[n + i - 1] for m in form.terms)
 
 
-def form_determinant(rows):
-    """Determinant of a square matrix of polynomial entries (Laplace expansion
-    along the first row, memoized on the remaining column set)."""
+def form_determinant(rows, columns=None, memo=None):
+    """Determinant of the square matrix that the rows of polynomial entries
+    make on `columns` (default: all), by Laplace expansion along the first
+    row. `memo` maps a column tuple to the minor of the last len(columns)
+    rows on it, so determinants of the same rows that share it share their
+    sub-minors."""
     size = len(rows)
-    if any(len(r) != size for r in rows):
+    columns = tuple(range(len(rows[0]))) if columns is None else tuple(columns)
+    if len(columns) != size or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("determinant needs a square matrix")
-    memo = {}
+    memo = {} if memo is None else memo
 
-    def rec(r, cols):
-        key = (r, cols)
-        if key in memo:
-            return memo[key]
-        if r == size - 1:
-            val = rows[r][cols[0]]
-            memo[key] = val
-            return val
-        acc = None
-        for pos, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            sub = rec(r + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            if pos % 2 == 1:
-                term = term.scaled(-1)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = rows[r][cols[0]].scaled(0)
-        memo[key] = acc
+    def rec(cols):
+        if cols in memo:
+            return memo[cols]
+        row = rows[size - len(cols)]
+        if len(cols) == 1:
+            acc = row[cols[0]]
+        else:
+            acc = None
+            for pos, c in enumerate(cols):
+                entry = row[c]
+                if entry.is_zero():
+                    continue
+                term = entry * rec(cols[:pos] + cols[pos + 1 :])
+                if pos % 2 == 1:
+                    term = term.scaled(-1)
+                acc = term if acc is None else acc + term
+            if acc is None:
+                acc = row[cols[0]].scaled(0)
+        memo[cols] = acc
         return acc
 
-    return rec(0, tuple(range(size)))
+    return rec(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +136,6 @@ class FermatSystem:
     def equations(self):
         return [self.equation(j) for j in range(1, self.c + 1)]
 
-    def dehom_coeffs(self, chart=0):
-        """The t_i^j: coefficients dehomogenized with respect to the chart."""
-        return [
-            [v.dehomogenize(chart) for v in row] for row in self.s
-        ]
-
     def max_p_degree(self, a):
         """Largest numerator degree allowed at twist a (must be >= 0)."""
         return self.e - a - self.ambient_N * self.epsilon - self.ambient_N - 1
@@ -187,18 +183,14 @@ def letters(v, i: int, e: int):
 # the chart's letter grid and the numeric jet matrices
 
 
-def _chart_columns(sys: FermatSystem, chart):
-    """The coefficient columns other than `chart`, in order: chart coordinate
-    z[pos] is Z_i / Z_chart for the i at position pos."""
-    return [i for i in range(sys.ambient_N + 1) if i != chart]
-
-
 def letter_grid(sys: FermatSystem, chart=0):
     """c x N grid of (b, beta) letter pairs in the chart coordinates: entry
-    [j][pos] is letters(t_i^j, pos, e) for the column i at position pos."""
-    t = sys.dehom_coeffs(chart)
-    columns = _chart_columns(sys, chart)
-    return [[letters(row[i], pos, sys.e) for pos, i in enumerate(columns)] for row in t]
+    [j][pos] is letters(s_i^j at Z_chart = 1, pos, e) for the pos-th i != chart."""
+    columns = [i for i in range(sys.ambient_N + 1) if i != chart]
+    return [
+        [letters(row[i].dehomogenize(chart), pos, sys.e) for pos, i in enumerate(columns)]
+        for row in sys.s
+    ]
 
 
 def build_B(grid, z, field=QQ):
@@ -227,30 +219,29 @@ def _check_index_tuple(sys, I):
         raise FermatError(f"indices must lie in 1..{sys.c}")
 
 
-def _letter_determinant(grid, I):
-    """Determinant with one row of scalar letters per grid row and one row of
-    form letters per index of I (1-based grid rows)."""
+def letter_minors(sys: FermatSystem, I):
+    """The maximal minors of the grid of c a-rows and one alpha-row per index
+    of I (1-based) over all N+1 columns, column i holding letters(s_i^j, i, e):
+    entry k drops column k. All N+1 share one Laplace memo."""
+    _check_index_tuple(sys, I)
+    grid = [[letters(v, i, sys.e) for i, v in enumerate(row)] for row in sys.s]
     rows = [[_lift(a) for a, _ in line] for line in grid]
     rows += [[al for _, al in grid[j - 1]] for j in I]
-    return form_determinant(rows)
+    cols = tuple(range(sys.ambient_N + 1))
+    memo = {}
+    return [form_determinant(rows, cols[:k] + cols[k + 1 :], memo) for k in cols]
 
 
-def tilde_cocycle(sys: FermatSystem, I, P: HomogPoly, chart: int) -> HomogPoly:
-    """Numerator of the chart representative of the determinantal section:
-    (-1)^chart P times the determinant with the c a-rows and the n alpha-rows
-    of I, column `chart` deleted. The section is this over Z_chart^{e-1}."""
-    _check_index_tuple(sys, I)
-    N = sys.ambient_N
-    if not 0 <= chart <= N:
-        raise FermatError("chart out of range")
+def tilde_cocycle(sys: FermatSystem, minors, P: HomogPoly) -> list:
+    """Numerators of the chart representatives of the determinantal section:
+    entry k is (-1)^k P times `minors[k]`, from `letter_minors`. The section
+    on chart k is it over Z_k^{e-1}."""
     if not P.is_zero() and P.degree > sys.max_p_degree(0):
         raise FermatError(
             f"deg P = {P.degree} exceeds the bound {sys.max_p_degree(0)}"
         )
-    columns = _chart_columns(sys, chart)
-    grid = [[letters(row[i], i, sys.e) for i in columns] for row in sys.s]
-    det = _letter_determinant(grid, I)
-    return (det * _lift(P)).scaled((-1) ** chart)
+    lifted = _lift(P)
+    return [(m * lifted).scaled((-1) ** k) for k, m in enumerate(minors)]
 
 
 def verify_kernel_membership(sys: FermatSystem, I, P: HomogPoly, a: int) -> bool:
@@ -361,9 +352,9 @@ def verify_glue(sys: FermatSystem, numerators, chart_a: int, chart_b: int,
                 reducer: GlueReducer) -> bool:
     """Whether the two chart representatives agree on the overlap: the cleared
     difference must lie in the ideal spanned by the equations and the
-    differentials of I's equations in its graded piece. `numerators[k]` is
-    the `tilde_cocycle` numerator of chart k, and `reducer` comes from
-    `glue_reducer_for` with the same I and P."""
+    differentials of I's equations in its graded piece. `numerators` comes
+    from `tilde_cocycle`, and `reducer` from `glue_reducer_for` with the same
+    I and P."""
     za = _lift(HomogPoly.variable(sys.ambient_N + 1, chart_a, sys.r))
     zb = _lift(HomogPoly.variable(sys.ambient_N + 1, chart_b, sys.r))
     diff = numerators[chart_a] * zb - numerators[chart_b] * za
@@ -374,13 +365,17 @@ def verify_glue(sys: FermatSystem, numerators, chart_a: int, chart_b: int,
 # affine symmetric forms
 
 
-def affine_form(sys: FermatSystem, I) -> AffinePoly:
-    """The full N x N determinant of b-rows and beta-rows in the chart-0 jet
-    coordinates z_q = Z_q/Z_0: a polynomial in (z, xi) of degree n in xi.
-    A numerator Q only multiplies it, so where it vanishes every Q-multiple
+def affine_form(minor: HomogPoly) -> AffinePoly:
+    """The chart-0 minor of `letter_minors` at Z_0 = 1, dZ_0 = 0: the N x N
+    determinant of b- and beta-rows in (z, xi), z_q = Z_q/Z_0, of degree n in
+    xi. Its terms share one Z-degree, so dropping Z_0 merges none. A
+    numerator Q only multiplies it, so where it vanishes every Q-multiple
     vanishes too."""
-    _check_index_tuple(sys, I)
-    return _letter_determinant(letter_grid(sys, 0), I)
+    n = minor.nvars // 2
+    return AffinePoly(
+        2 * (n - 1),
+        {m[1:n] + m[n + 1 :]: c for m, c in minor.terms.items() if not m[n]},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -407,28 +402,10 @@ class ScanReport:
     hypothesis_warning: str = ""
 
     def to_json_dict(self):
-        return {
-            "p": self.p,
-            "N": self.N,
-            "c": self.c,
-            "epsilon": self.epsilon,
-            "e": self.e,
-            "seed": self.seed,
-            "chart": self.chart,
-            "counts": self.counts,
-            "candidate_E": self.candidate_E,
-            "ci_points": self.ci_points,
-            "jet_points": self.jet_points,
-            "w_vanishing": {
-                "checked": self.w_vanishing_checked,
-                "failures": self.w_vanishing_failures,
-            },
-            "nonzero_spot": {
-                "checked": self.nonzero_spot_checked,
-                "failures": self.nonzero_spot_failures,
-            },
-            "hypothesis_warning": self.hypothesis_warning,
-        }
+        out = asdict(self)
+        for key in ("w_vanishing", "nonzero_spot"):
+            out[key] = {"checked": out.pop(f"{key}_checked"), "failures": out.pop(f"{key}_failures")}
+        return out
 
 
 def _projective_points(field, basis_vectors, dim_ambient, limit, rng):
@@ -502,6 +479,12 @@ def _common_zeros(polys, field):
     return walk((), start)
 
 
+# jet directions enumerated per point before sampling, and nonzero points
+# whose structured determinants are spot-checked
+XI_LIMIT = 10_000
+SPOT_CHECKS = 50
+
+
 def base_locus_scan(
     sys: FermatSystem,
     a: int,
@@ -509,8 +492,6 @@ def base_locus_scan(
     seed: int,
     chart: int = 0,
     cap: int = 10_000_000,
-    xi_limit: int = 10_000,
-    spot_checks: int = 50,
 ) -> ScanReport:
     """Enumerate jet points of the intersection in the chart Z_chart = 1 over
     F_p and classify them by the rank criterion. Points outside the
@@ -557,7 +538,7 @@ def base_locus_scan(
         # B and its rank depend on the point z alone
         B = build_B(grid, z, field)
         rkB = rank(SparseMatrix.from_rows(field, B))
-        for xi in _projective_points(field, tangent.vectors, N, xi_limit, rng):
+        for xi in _projective_points(field, tangent.vectors, N, XI_LIMIT, rng):
             jet_points += 1
             in_w = any(z[i] == 0 and xi[i] == 0 for i in range(N))
             if in_w:
@@ -576,7 +557,7 @@ def base_locus_scan(
                 candidate.append({"z": list(z), "xi": list(xi), "class": "criterion_zero"})
             else:
                 counts["nonzero"] += 1
-                if spot_done < spot_checks:
+                if spot_done < SPOT_CHECKS:
                     spot_done += 1
                     if not any(structured_nonsingular(B, Bp)):
                         spot_fail += 1
@@ -604,14 +585,15 @@ def base_locus_scan(
 # genericity probes
 
 
-def genericity_probes(
-    trials: int,
-    seed: int,
-    p: int = 31,
-    rank_shape=(3, 4, 5),
-    claim_shape=(4, 1, 9),
-    kj_shape=(2, 2, 5),
-) -> dict:
+# the probes' prime and the shapes of claims (i), (ii) and (iii): (n, p, q),
+# (N, epsilon, e) and (n, c, M)
+PROBE_PRIME = 31
+RANK_SHAPE = (3, 4, 5)
+CLAIM_SHAPE = (4, 1, 9)
+KJ_SHAPE = (2, 2, 5)
+
+
+def genericity_probes(trials: int, seed: int) -> dict:
     """Monte Carlo evidence for the three dimension-count ingredients:
 
     (i) a full-rank n x p matrix times a random p x q matrix has rank
@@ -624,9 +606,10 @@ def genericity_probes(
 
     All randomness is seeded; degeneracy counts are reported, expected zero.
     """
+    p = PROBE_PRIME
     field = PrimeField(p)
     rng = SplitMix64(seed)
-    n_, p_, q_ = rank_shape
+    n_, p_, q_ = RANK_SHAPE
     drop_i = 0
     for _ in range(trials):
         while True:
@@ -641,7 +624,7 @@ def genericity_probes(
         if rank(SparseMatrix.from_rows(field, AB)) != min(q_, n_):
             drop_i += 1
 
-    N, eps, e = claim_shape
+    N, eps, e = CLAIM_SHAPE
     monos = compositions(eps, N)
     M = len(monos)
     drop_ii = 0
@@ -666,7 +649,7 @@ def genericity_probes(
             if rank(SparseMatrix.from_rows(field, [brow, berow])) != 2:
                 drop_ii += 1
 
-    nk, ck, Mk = kj_shape
+    _, ck, Mk = KJ_SHAPE
     drop_iii = 0
     for _ in range(trials):
         while True:
@@ -700,11 +683,11 @@ def genericity_probes(
         "trials": trials,
         "seed": seed,
         "prime": p,
-        "rank_product": {"shape": list(rank_shape), "degeneracies": drop_i},
+        "rank_product": {"shape": list(RANK_SHAPE), "degeneracies": drop_i},
         "letter_independence": {
             "shape": {"N": N, "epsilon": eps, "e": e, "dim_coeff_space": M},
             "degeneracies": drop_ii,
         },
-        "structured_rank": {"shape": list(kj_shape), "degeneracies": drop_iii},
+        "structured_rank": {"shape": list(KJ_SHAPE), "degeneracies": drop_iii},
         "w_negative_control_degenerate": w_degenerate,
     }

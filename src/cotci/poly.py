@@ -31,10 +31,6 @@ def mi_sub(a, b):
     return tuple(map(sub, a, b))
 
 
-def mi_weight(a):
-    return sum(a)
-
-
 def compositions(total, parts):
     """All exponent tuples of the given length summing to total, in grevlex
     order: ascending in the last coordinate, then in the one before it, and
@@ -143,17 +139,22 @@ class HomogPoly(_PolyBase):
     __slots__ = ("degree",)
 
     def __init__(self, nvars, terms, degree=None):
-        super().__init__(nvars, terms)
-        if self.terms:
-            weights = {mi_weight(m) for m in self.terms}
-            if len(weights) != 1:
-                lo, hi = min(weights), max(weights)
-                raise ValueError(f"inhomogeneous terms: degrees {lo} and {hi}")
-            self.degree = weights.pop()
-            if degree is not None and degree != self.degree:
-                raise ValueError(f"declared degree {degree} != actual {self.degree}")
-        else:
-            self.degree = degree if degree is not None else 0
+        # one pass over the terms checks the arity and the weight of each
+        self.nvars = nvars
+        self.terms = {}
+        weights = set()
+        for mono, coeff in terms.items():
+            if coeff:
+                if len(mono) != nvars:
+                    raise ValueError(f"monomial {mono} has wrong arity")
+                weights.add(sum(mono))
+                self.terms[mono] = coeff
+        if len(weights) > 1:
+            lo, hi = min(weights), max(weights)
+            raise ValueError(f"inhomogeneous terms: degrees {lo} and {hi}")
+        self.degree = weights.pop() if weights else degree or 0
+        if degree is not None and degree != self.degree:
+            raise ValueError(f"declared degree {degree} != actual {self.degree}")
 
     @classmethod
     def zero(cls, nvars, degree=0):

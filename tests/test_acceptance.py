@@ -27,6 +27,7 @@ from cotci.fermat import (
     base_locus_scan,
     genericity_probes,
     glue_reducer_for,
+    letter_minors,
     random_fermat_system,
     tilde_cocycle,
     vanishes_on_pair,
@@ -153,13 +154,14 @@ def test_criterion_06_determinantal_verification():
     P = HomogPoly.constant(5, 1)
     I = (1, 2)
     membership = verify_kernel_membership(sys_, I, P, 0)
-    numerators = [tilde_cocycle(sys_, I, P, chart) for chart in range(5)]
+    minors = letter_minors(sys_, I)
+    numerators = tilde_cocycle(sys_, minors, P)
     reducer = glue_reducer_for(sys_, I, P)
     glue_all = all(
         verify_glue(sys_, numerators, a, b, reducer)
         for a, b in itertools.combinations(range(5), 2)
     )
-    form = affine_form(sys_, I)
+    form = affine_form(minors[0])
     w_vanishes = all(vanishes_on_pair(form, i) for i in range(1, 5))
     elapsed = time.time() - start
     ok = membership and glue_all and w_vanishes

@@ -291,6 +291,28 @@ def test_avec_must_be_five_distinct_values(command, avec, why, capsys, tmp_path)
     assert not out.exists()
 
 
+# cohomology reads --avec only for the deformed pair of --alpha/--beta, and
+# --seed only for the random coefficients the deformed pair replaces
+UNREAD_FLAGS = [
+    (["--avec", "1,1"], "error: --avec is read only with --alpha/--beta"),
+    (["--alpha", "1,2", "--seed", "3"],
+     "error: --seed is not read with --alpha/--beta: the deformed pair is fixed"),
+    (["--beta", "3,5", "--seed", "3"],
+     "error: --seed is not read with --alpha/--beta: the deformed pair is fixed"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, line", UNREAD_FLAGS, ids=["avec", "alpha-seed", "beta-seed"]
+)
+def test_cohomology_flags_its_construction_does_not_read_exit_1(flags, line, capsys, tmp_path):
+    out = tmp_path / "r.json"
+    args = ["cohomology", "--N", "4", "--c", "2", "--e", "5", "--ell", "2", *flags]
+    assert cli.main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+    assert not out.exists()
+
+
 def test_cap_env_override(tmp_path):
     code, _, err = run_cli(
         ["jump", "--e", "5", "--trials", "1", "--seed", "1"],

@@ -17,6 +17,7 @@ from cotci.fermat import (
     genericity_probes,
     glue_reducer_for,
     letter_grid,
+    letter_minors,
     letters,
     random_fermat_system,
     tilde_cocycle,
@@ -44,7 +45,11 @@ def crit6_system():
 
 
 def chart_numerators(sys_, I, P):
-    return [tilde_cocycle(sys_, I, P, chart) for chart in range(sys_.ambient_N + 1)]
+    return tilde_cocycle(sys_, letter_minors(sys_, I), P)
+
+
+def jet_form(sys_, I):
+    return affine_form(letter_minors(sys_, I)[0])
 
 
 def cleared_difference(sys_, numerators, a, b):
@@ -111,12 +116,12 @@ def test_tilde_cocycle_repeated_rows_vanish():
     rows = [[1, 2, 3, 4], [1, 2, 3, 4]]
     grid = tuple(tuple(HomogPoly.constant(4, v) for v in row) for row in rows)
     sys_ = FermatSystem(3, 2, 0, 5, grid)
-    assert tilde_cocycle(sys_, (1,), HomogPoly.constant(4, 1), 0).is_zero()
+    assert all(num.is_zero() for num in chart_numerators(sys_, (1,), HomogPoly.constant(4, 1)))
 
 
 def test_tilde_cocycle_zero_numerator():
     sys_ = crit6_system()
-    assert tilde_cocycle(sys_, (1, 2), HomogPoly.zero(5), 0).is_zero()
+    assert all(num.is_zero() for num in chart_numerators(sys_, (1, 2), HomogPoly.zero(5)))
 
 
 def test_tilde_cocycle_plane_curve_specialization():
@@ -131,8 +136,7 @@ def test_tilde_cocycle_plane_curve_specialization():
     descent = plane_curve_descent(F, P)
     const = e**3 * s[0] * s[1] * s[2]
     partial_coeffs = {i: e * s[i] for i in range(3)}  # F_i = e s_i Z_i^{e-1}
-    for chart in range(3):
-        det = tilde_cocycle(sys_, (1,), P, chart)
+    for chart, det in enumerate(chart_numerators(sys_, (1,), P)):
         sign = descent.chart_cocycles[chart]["sign"]
         vertex_form = descent.chart_cocycles[chart]["form"]
         # descent vertex: sign * (P/(e F_chart)) * sum coeff dZ_m; clearing
@@ -244,7 +248,7 @@ def test_glue_reducer_degree_matches_every_difference(sys_, I, P):
 
 def test_affine_form_w_vanishing_symbolic():
     sys_ = crit6_system()
-    form = affine_form(sys_, (1, 2))
+    form = jet_form(sys_, (1, 2))
     assert {sum(xi_exp) for xi_exp in split_form(form)} == {2}
     assert not form.is_zero()
     for i in range(1, 5):
@@ -262,7 +266,7 @@ def test_affine_form_w_vanishing_symbolic():
 def test_affine_form_is_nonzero_and_vanishes_on_every_pair(sys_, I):
     # the W-vanishing check tests the determinant itself, so it cannot pass
     # vacuously on a zero form
-    form = affine_form(sys_, I)
+    form = jet_form(sys_, I)
     assert not form.is_zero()
     for i in range(1, sys_.ambient_N + 1):
         assert vanishes_on_pair(form, i)
@@ -297,20 +301,71 @@ def test_vanishes_on_pair_needs_z_i_or_xi_i_in_every_term(N):
 
 def test_affine_form_alternating():
     sys_ = crit6_system()
-    f12 = affine_form(sys_, (1, 2))
-    f21 = affine_form(sys_, (2, 1))
+    f12 = jet_form(sys_, (1, 2))
+    f21 = jet_form(sys_, (2, 1))
     assert f21 == f12.scaled(-1)
     # a repeated index corresponds to a repeated determinant row: zero
-    t = sys_.dehom_coeffs(0)
-    rows = []
-    for j in (1, 2):
-        rows.append(
-            [_lift(letters(t[j - 1][q], q - 1, sys_.e)[0]) for q in range(1, 5)]
-        )
-    beta_row = [letters(t[0][q], q - 1, sys_.e)[1] for q in range(1, 5)]
+    grid = letter_grid(sys_, 0)
+    rows = [[_lift(b) for b, _ in line] for line in grid]
+    beta_row = [beta for _, beta in grid[0]]
     rows.append(beta_row)
     rows.append(beta_row)
     assert form_determinant(rows).is_zero()
+
+
+# (N, c, epsilon, e, seed) and both orders of an index tuple I
+MINOR_CASES = [
+    ((3, 2, 1, 8, 3), (1,), (2,)),
+    ((4, 2, 1, 10, 20260811), (1, 2), (2, 1)),
+    ((5, 3, 0, 7, 1), (1, 3), (3, 1)),
+]
+
+
+def _letter_rows(sys_, I):
+    # the homogeneous letter grid over all N+1 columns, written out again
+    grid = [[letters(v, i, sys_.e) for i, v in enumerate(row)] for row in sys_.s]
+    return [[_lift(a) for a, _ in line] for line in grid] + [
+        [al for _, al in grid[j - 1]] for j in I
+    ]
+
+
+@pytest.mark.parametrize(
+    "params, I",
+    [(params, I) for params, *orders in MINOR_CASES for I in orders],
+    ids=lambda v: ",".join(map(str, v)),
+)
+def test_shared_memo_numerators_match_separate_determinants(params, I):
+    # every chart numerator is (-1)^k P times the grid's determinant without
+    # column k, whichever minors were expanded before it
+    sys_ = random_fermat_system(*params)
+    N = sys_.ambient_N
+    P = HomogPoly.variable(N + 1, 1, sys_.max_p_degree(0))
+    rows = _letter_rows(sys_, I)
+    nums = chart_numerators(sys_, I, P)
+    assert len(nums) == N + 1
+    for k, num in enumerate(nums):
+        det = form_determinant([[r[i] for i in range(N + 1) if i != k] for r in rows])
+        assert not det.is_zero()
+        assert num == (det * _lift(P)).scaled((-1) ** k)
+
+
+@pytest.mark.parametrize("epsilon", [0, 1])
+@pytest.mark.parametrize(
+    "params, I",
+    [(params, I) for params, *orders in MINOR_CASES for I in orders],
+    ids=lambda v: ",".join(map(str, v)),
+)
+def test_jet_form_is_the_chart_0_letter_grid_determinant(params, I, epsilon):
+    # the chart-0 minor at Z_0 = 1, dZ_0 = 0 is the N x N determinant of the
+    # b- and beta-rows of the chart-0 jet coordinates, expanded directly here
+    N, c, _, e, seed = params
+    sys_ = random_fermat_system(N, c, epsilon, e, seed)
+    grid = letter_grid(sys_, 0)
+    rows = [[_lift(b) for b, _ in line] for line in grid]
+    rows += [[beta for _, beta in grid[j - 1]] for j in I]
+    form = jet_form(sys_, I)
+    assert form.nvars == 2 * N and not form.is_zero()
+    assert form == form_determinant(rows)
 
 
 def _b(u, q, z, field):
@@ -326,9 +381,9 @@ def _beta(u, q, z, xi, e, field):
 
 def test_affine_form_matches_numeric_determinant():
     sys_ = random_fermat_system(3, 2, 1, 6, seed=9)
-    form = affine_form(sys_, (1,))
+    form = jet_form(sys_, (1,))
     grid = letter_grid(sys_)
-    t = [row[1:] for row in sys_.dehom_coeffs(0)]  # chart 0: columns 1..N
+    t = [[v.dehomogenize(0) for v in row[1:]] for row in sys_.s]  # chart 0: columns 1..N
     rng = SplitMix64(55)
     for field in (QQ, PrimeField(101)):
         for _ in range(5):
@@ -477,7 +532,7 @@ def test_system_validation():
             3, 2, 1, 0, random_fermat_system(3, 2, 1, 5, seed=1).s
         )
     sys_ = random_fermat_system(3, 2, 1, 5, seed=1)
-    with pytest.raises(FermatError):
-        tilde_cocycle(sys_, (1, 1), HomogPoly.constant(4, 1), 0)
-    with pytest.raises(FermatError):
-        tilde_cocycle(sys_, (1,), HomogPoly.constant(4, 1), 0)
+    with pytest.raises(FermatError, match="length n = 1"):
+        letter_minors(sys_, (1, 1))
+    with pytest.raises(FermatError, match="exceeds the bound"):
+        tilde_cocycle(sys_, letter_minors(sys_, (1,)), HomogPoly.constant(4, 1))
