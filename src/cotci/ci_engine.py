@@ -24,10 +24,12 @@ from .cech import CohomClass, CohomSpace, DEFAULT_BASIS_CAP
 from .exactalg import (
     QQ,
     PrimeField,
+    SparseMatrix,
     SubspaceBasis,
     apply_to_basis,
     combine_basis,
     kernel_basis,
+    rank,
     rref_vectors,
 )
 from .poly import HomogPoly, deformed_fermat_pair, fermat_generic_system, vandermonde_coeff_rows
@@ -723,10 +725,7 @@ def jacobian_spot_check(ci: CompleteIntersectionInput, prime, seed, samples=25):
             continue
         found.append(z)
         rows = [[entry.evaluate(z, gf) for entry in row] for row in jac]
-        from .exactalg import SparseMatrix, rank as _rank
-
-        m = SparseMatrix.from_rows(gf, rows)
-        if _rank(m) < ci.codim:
+        if rank(SparseMatrix.from_rows(gf, rows)) < ci.codim:
             drops.append(z)
     return {
         "prime": prime,

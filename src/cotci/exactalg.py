@@ -361,13 +361,27 @@ def kernel_basis(matrix: SparseMatrix) -> SubspaceBasis:
     and 0 at every other free column, so the basis is reproducible
     bit-for-bit and already in reduced form over the free coordinates.
 
-    A reduced pivot row holds its pivot column and free columns only, so the
-    vectors are filled in one walk over the pivot rows: past the elimination
-    the cost is linear in the nnz of the reduced pivot rows.
+    A one-entry row in column c puts e_c in the row space (stored entries
+    are nonzero): c is a pivot column with reduced row e_c, and every kernel
+    vector is 0 there. Such rows are settled in one pass over the entries,
+    the singleton step of structured Gaussian elimination; only the other
+    rows, without the settled columns, go through `_eliminate`, and a row
+    left empty is dependent. The cost is linear in nnz for the one-entry
+    rows, plus the elimination of the rest and one walk over its reduced
+    pivot rows, which hold their pivot column and free columns only.
     """
-    rows = [_field_row(matrix.field, r) for r in matrix.row_dicts()]
+    # per row: its one column, -1 when it has none, -2 when it has several
+    single = [-1] * matrix.nrows
+    for r, c in matrix.entries:
+        single[r] = c if single[r] == -1 else -2
+    settled = {c for c in single if c >= 0}
+    rest = {}
+    for (r, c), v in matrix.entries.items():
+        if single[r] == -2 and c not in settled:
+            rest.setdefault(r, {})[c] = v
+    rows = [_field_row(matrix.field, rest[r]) for r in sorted(rest)]
     pivots = _eliminate(rows, matrix.ncols, matrix.field, reduce=True)
-    pivot_cols = {c for c, _ in pivots}
+    pivot_cols = settled.union(c for c, _ in pivots)
     p = matrix.field.p if matrix.field.kind == "Fp" else 0
     one = 1 if p else Fraction(1)
     by_free = {f: {f: one} for f in range(matrix.ncols) if f not in pivot_cols}
@@ -431,19 +445,6 @@ def combine_basis(basis: SubspaceBasis, coeffs: SubspaceBasis) -> SubspaceBasis:
             vec = {c: v % p for c, v in vec.items() if v % p}
         vectors.append(vec)
     return SubspaceBasis(basis.field, basis.ambient_dim, vectors)
-
-
-def contains_vector(basis: SubspaceBasis, vec: dict) -> bool:
-    """Whether vec lies in the span of the basis."""
-    if not vec:
-        return True
-    aug = SubspaceBasis(basis.field, basis.ambient_dim, basis.vectors + [dict(vec)])
-    ent = {}
-    for i, v in enumerate(aug.vectors):
-        for c, x in v.items():
-            ent[(i, c)] = x
-    m = SparseMatrix(basis.field, aug.dim, basis.ambient_dim, ent)
-    return rank(m) == basis.dim
 
 
 # The prime of the modular membership solve, and the bound on the numerators

@@ -106,6 +106,16 @@ def test_dpoly_matrix_matches_class_application():
         )
 
 
+def test_dpoly_matrix_of_a_degree_0_factor_has_one_entry_per_row():
+    # the term a_m Z_m^{e-1} dZ_m of df is the only one that appends dZ_m to
+    # an empty factor, and it reaches a target element from one source only
+    f = HomogPoly(4, {tuple(5 if j == i else 0 for j in range(4)): i + 2 for i in range(4)})
+    for space, factor in ((CohomSpace(3, (0,), -9), 1), (CohomSpace(3, (2, 0), -8), 2)):
+        m = mul_dpoly_matrix(space, f, factor).matrix
+        rows = [r for r, _ in m.entries]
+        assert m.nnz() > 0 and len(set(rows)) == len(rows)
+
+
 def test_contraction_matrix_matches_class_application():
     space = CohomSpace(2, (2, 1), -3)
     for factor in (1, 2):

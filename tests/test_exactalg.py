@@ -12,7 +12,6 @@ from cotci.exactalg import (
     SubspaceBasis,
     apply_to_basis,
     combine_basis,
-    contains_vector,
     kernel_basis,
     rank,
     rref_vectors,
@@ -134,6 +133,66 @@ def test_kernel_equals_dense_reference_edge_cases(field):
     assert [next(iter(v)) for v in kernel_basis(gaps).vectors] == [1, 2, 5, 6]
 
 
+def with_one_entry_rows(rng, m, count):
+    """m with `count` rows of one nonzero entry each, put at seeded places
+    among its rows."""
+    rows = m.row_dicts()
+    for _ in range(count):
+        rows.insert(rng.randint(0, len(rows)), {rng.randint(0, m.ncols - 1): rng.nonzero_coeff()})
+    ent = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+    return SparseMatrix(m.field, len(rows), m.ncols, ent)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_kernel_with_one_entry_rows_equals_dense_reference(field):
+    rng = SplitMix64(43)
+    for nrows, ncols, density in RANDOM_SHAPES[:3]:
+        for count in (1, ncols // 4, ncols):
+            m = random_sparse(rng, field, nrows, ncols, density)
+            assert_kernel_matches_reference(with_one_entry_rows(rng, m, count))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_kernel_one_entry_row_edge_cases(field):
+    cases = [
+        # two one-entry rows on column 1
+        [[0, 2, 0, 0], [1, 1, 1, 1], [0, -3, 0, 0]],
+        # a one-entry row on column 2, which the dense rows hold too
+        [[1, 2, 3, 4, 5], [0, 0, 7, 0, 0], [2, 0, 1, 1, 0], [0, 1, 4, 0, 1]],
+        # the first row is emptied once columns 0 and 3 are dropped
+        [[5, 0, 0, 1, 0], [0, 0, 0, 2, 0], [3, 0, 0, 0, 0], [0, 1, 1, 0, 1]],
+        # a one-entry Fraction row beside rows with Fraction entries
+        [[0, Fraction(1, 3), 0], [Fraction(2, 5), 1, Fraction(-7, 2)], [1, 0, 1]],
+        # only one-entry rows, every column hit: full column rank
+        [[0, 0, 4], [1, 0, 0], [0, -2, 0], [6, 0, 0]],
+        # only one-entry rows, columns 1 and 4 missed
+        [[0, 0, 3, 0, 0], [8, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 9, 0, 0]],
+    ]
+    for rows in cases:
+        assert_kernel_matches_reference(SparseMatrix.from_rows(field, rows))
+    assert kernel_basis(SparseMatrix.from_rows(field, cases[4])).dim == 0
+    missed = kernel_basis(SparseMatrix.from_rows(field, cases[5]))
+    assert [list(v) for v in missed.vectors] == [[1], [4]]
+
+
+def test_only_one_entry_rows_reach_no_elimination(monkeypatch):
+    handed = []
+    eliminate = exactalg._eliminate
+
+    def counting(rows, *args, **kwargs):
+        handed.append(len(rows))
+        return eliminate(rows, *args, **kwargs)
+
+    monkeypatch.setattr(exactalg, "_eliminate", counting)
+    rng = SplitMix64(47)
+    for field in (QQ, PrimeField(101)):
+        ncols = 60
+        m = with_one_entry_rows(rng, SparseMatrix(field, 0, ncols), 2 * ncols)
+        assert kernel_basis(m).dim == ncols - len({c for _, c in m.entries})
+        assert_kernel_matches_reference(m)
+    assert handed and not any(handed)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)])
 def test_apply_to_basis_equals_columnwise_product(field):
     rng = SplitMix64(29)
@@ -223,6 +282,14 @@ def test_prime_field_validation():
         PrimeField(8)
     gf = PrimeField(11)
     assert gf.normalize(Fraction(1, 2)) == 6
+
+
+def contains_vector(basis, vec):
+    """Whether vec lies in the span of the basis, by the rank of the basis
+    vectors with vec appended: the reference for `SpanReducer`."""
+    rows = basis.vectors + [vec]
+    ent = {(i, c): x for i, v in enumerate(rows) for c, x in v.items()}
+    return rank(SparseMatrix(basis.field, len(rows), basis.ambient_dim, ent)) == basis.dim
 
 
 def random_query(rng, ncols):
