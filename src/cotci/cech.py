@@ -9,7 +9,8 @@ factor, and the Euler contraction of one tensor factor. Each family is one
 rule (`MapRule`), a combination of coefficient-free monomial shifts, from
 which both its sparse matrix and its action on a single class are derived.
 A shift's sparsity table is cached with the bases for one command, so maps
-that share monomials share their tables.
+that share monomials share their tables. A table is pulled back from the
+target through the product structure of the bases, without listing one.
 
 A product monomial whose denominator exponent drops to 0 or below is the zero
 class (it is a coboundary); that truncation rule is applied uniformly and is
@@ -22,7 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 from .exactalg import QQ, SparseMatrix
@@ -155,7 +156,9 @@ class _Shift(NamedTuple):
 
     A denominator I survives the division by Z^M exactly when I_i > M_i on the
     support of M, since every I_i is at least 1, and only those entries of I
-    change; otherwise the image is the zero class.
+    change; otherwise the image is the zero class. `image` reads a shift
+    forward, one element at a time; `_shift_table` reads it back from the
+    target, for a whole basis.
     """
 
     support: tuple
@@ -163,45 +166,39 @@ class _Shift(NamedTuple):
     m: int = 0
     step: int = 0
 
-    def targets(self, elements) -> list:
-        """Per element, its image basis element, or None for the zero class."""
+    def image(self, el):
+        """(target element, multiplicity) of the basis element `el`, or None
+        for the zero class."""
         support, j, m, step = self
-        out = []
-        append = out.append
-        for el in elements:
-            I = el[-1]
-            for i, k in support:
-                if I[i] <= k:
-                    append(None)
-                    break
-            else:
-                Inew = list(I)
-                for i, k in support:
-                    Inew[i] -= k
-                if not step:
-                    append(el[:-1] + (tuple(Inew),))
-                    continue
-                J = el[j]
-                if J[m] + step < 0:
-                    append(None)
-                    continue
-                Jnew = J[:m] + (J[m] + step,) + J[m + 1 :]
-                append(el[:j] + (Jnew,) + el[j + 1 : -1] + (tuple(Inew),))
-        return out
-
-    def multiplicities(self, elements):
-        """Per element, the factor its image carries: J_m for a contraction;
-        None when it is 1 for every element."""
-        if self.step >= 0:
+        I = list(el[-1])
+        for i, k in support:
+            if I[i] <= k:
+                return None
+            I[i] -= k
+        if not step:
+            return el[:-1] + (tuple(I),), 1
+        J = el[j]
+        if J[m] + step < 0:
             return None
-        j, m = self.factor, self.m
-        return [el[j][m] for el in elements]
+        Jnew = J[:m] + (J[m] + step,) + J[m + 1 :]
+        return el[:j] + (Jnew,) + el[j + 1 : -1] + (tuple(I),), 1 if step > 0 else J[m]
 
 
 def _shift_table(source: CohomSpace, target: CohomSpace, shift: _Shift, cap):
     """Sparsity pattern of one shift from `source` to `target`: the (row, col)
     keys of the source elements whose image is not the zero class, in column
-    order, and their multiplicities (None when all are 1).
+    order (rows increase too), and their multiplicities (None when all are 1).
+
+    Built from the product structure of the bases and pulled back from the
+    target. `basis_enumerate` puts J_1 outermost, then ... J_k, then I, so an
+    element's index is combo(J_1..J_k) * n_I + idx(I), with combo the mixed
+    radix over the factor lists. A shift changes the denominator and at most
+    factor j. Every target denominator I' has the one preimage I' + M, which
+    survives. A target J' of factor j has the preimage J' - delta_m when
+    J'_m >= 1 (step 1), and always J' + delta_m, of multiplicity J'_m + 1
+    (step -1). Both translations keep the order of the lists. Cost: O(target
+    denominators) index lookups plus O(nnz) integer arithmetic; no list or
+    index of a product basis is built.
 
     Cached for the command run with the bases, without the coefficient, so
     every map that contains the shift (the equations of one system share
@@ -209,16 +206,47 @@ def _shift_table(source: CohomSpace, target: CohomSpace, shift: _Shift, cap):
     """
     key = ("shift", source, target, shift)
     table = _basis_cache.get(key)
-    if table is None:
-        source_basis = basis_enumerate(source, cap)
-        tindex = basis_index(target, cap)
-        targets = shift.targets(source_basis)
-        keys = [(tindex[t], col) for col, t in enumerate(targets) if t is not None]
-        mults = shift.multiplicities(source_basis)
+    if table is not None:
+        return table
+    support, j, m, step = shift
+    N = source.ambient_N
+    # the denominators are the bases of H^N(P^N, O(-w))
+    tden = basis_enumerate(CohomSpace(N, (), -target.denominator_weight), cap)
+    sden = basis_index(CohomSpace(N, (), -source.denominator_weight), cap)
+    imap = []
+    for (I,) in tden:
+        I = list(I)
+        for i, k in support:
+            I[i] += k
+        imap.append(sden[(tuple(I),)])
+    nt, ns = len(tden), len(sden)
+    # (target combo, source combo, multiplicity) in the order of both
+    sizes = [comb(l + N, N) for l in source.factor_degrees]
+    if step:
+        sJ = {J: b for b, J in enumerate(compositions(source.factor_degrees[j], N + 1))}
+        tJ = compositions(target.factor_degrees[j], N + 1)
+        jmap = [
+            (a, sJ[J[:m] + (J[m] - step,) + J[m + 1 :]], J[m] - step)
+            for a, J in enumerate(tJ)
+            if J[m] >= step
+        ]
+        outer, inner = prod(sizes[:j]), prod(sizes[j + 1 :])
+        tj, sj = len(tJ), sizes[j]
+        combos = [
+            ((o * tj + a) * inner + q, (o * sj + b) * inner + q, w)
+            for o in range(outer)
+            for a, b, w in jmap
+            for q in range(inner)
+        ]
+    else:
+        combos = [(c, c, 1) for c in range(prod(sizes))]
+    keys, mults = [], [] if step < 0 else None
+    for tc, sc, w in combos:
+        keys += zip(range(tc * nt, tc * nt + nt), map((sc * ns).__add__, imap))
         if mults is not None:
-            mults = [w for w, t in zip(mults, targets) if t is not None]
-        table = (keys, mults)
-        _basis_cache[key] = table
+            mults += repeat(w, nt)
+    table = (keys, mults)
+    _basis_cache[key] = table
     return table
 
 
@@ -248,10 +276,10 @@ class MapRule:
         """The (target element, coefficient) terms of the image of `el`."""
         out = []
         for c, shift in self.shifts:
-            (t,) = shift.targets((el,))
-            if t is not None:
-                mults = shift.multiplicities((el,))
-                out.append((t, c if mults is None else c * mults[0]))
+            image = shift.image(el)
+            if image is not None:
+                t, w = image
+                out.append((t, c * w))
         return out
 
     def assemble(self, cap=DEFAULT_BASIS_CAP) -> CohomMap:
@@ -446,8 +474,3 @@ def apply_poly(cls: CohomClass, f: HomogPoly) -> CohomClass:
 def apply_dpoly(cls: CohomClass, f: HomogPoly, factor: int) -> CohomClass:
     """Multiplication by df on one tensor factor of a single class."""
     return mul_dpoly_rule(cls.space, f, factor).act(cls)
-
-
-def apply_contraction(cls: CohomClass, factor: int) -> CohomClass:
-    """The Euler contraction of one tensor factor on a single class."""
-    return euler_contraction_rule(cls.space, factor).act(cls)

@@ -313,6 +313,7 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute one command and write its report; returns the exit status."""
     started = time.time()
+    out_of_memory = False
     try:
         payload, ok = _RUNNERS[config.command](config)
     except (UsageError, PolyParseError, ValueError, BasisCapExceeded) as exc:
@@ -321,9 +322,15 @@ def run(config: RunConfig) -> int:
     except ci_engine.EulerCrossCheckError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # reported below, once the cache and the failed frames are released
+        out_of_memory = True
     finally:
         # bases, index maps and shift tables live for one command
         cech._basis_cache.clear()
+    if out_of_memory:
+        print(f"error: out of memory in {config.command}", file=sys.stderr)
+        return 1
     report = {
         "artifact_version": __version__,
         "command": config.command,

@@ -194,16 +194,6 @@ class HomogPoly(_PolyBase):
                 terms[m] = terms.get(m, 0) + coeff * e
         return HomogPoly(self.nvars, terms, max(self.degree - 1, 0))
 
-    def euler_identity_check(self) -> bool:
-        """Sum_i Z_i dF/dZ_i == deg(F) * F, exactly; a self-test of derivatives.
-
-        Works on the raw term table (no validating constructors), so a
-        corrupted table is reported as False rather than raising.
-        """
-        acc = {m: c * sum(m) for m, c in self.terms.items() if c * sum(m)}
-        target = {m: c * self.degree for m, c in self.terms.items() if c * self.degree}
-        return acc == target
-
     def dehomogenize(self, chart) -> "AffinePoly":
         """Substitute Z_chart = 1, renaming remaining variables in index order."""
         if not 0 <= chart < self.nvars:

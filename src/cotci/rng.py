@@ -39,9 +39,6 @@ class SplitMix64:
             if u < limit:
                 return lo + (u % span)
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
     def nonzero_coeff(self) -> int:
         """Small nonzero integer in {-9..9}\\{0}, the package-wide coefficient pool."""
         v = self.randint(1, 18)

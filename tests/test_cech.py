@@ -7,17 +7,22 @@ from cotci.cech import (
     BasisCapExceeded,
     CohomClass,
     CohomSpace,
-    apply_contraction,
     apply_dpoly,
     apply_poly,
     basis_enumerate,
     euler_contraction_matrix,
+    euler_contraction_rule,
     mul_dpoly_matrix,
     mul_poly_matrix,
 )
 from cotci.exactalg import QQ, SparseMatrix, rank
-from cotci.poly import HomogPoly, random_homog
+from cotci.poly import HomogPoly, compositions, random_homog
 from cotci.rng import SplitMix64
+
+
+def apply_contraction(cls, factor):
+    """The Euler contraction of one tensor factor on a single class."""
+    return euler_contraction_rule(cls.space, factor).act(cls)
 
 
 def fermat(nvars, e):
@@ -54,6 +59,29 @@ def test_basis_counts_random():
             continue
         done += 1
         assert len(basis_enumerate(space)) == space.dim()
+
+
+def test_basis_index_is_mixed_radix():
+    # the order the shift tables rely on: J_1 outermost, ..., J_k, then I, so
+    # an index is combo(J_1..J_k) * n_I + idx(I) with combo a mixed radix
+    rng = SplitMix64(1717)
+    for k in range(4):
+        done = 0
+        while done < 4:
+            N = rng.randint(1, 3)
+            ells = tuple(rng.randint(0, 2) for _ in range(k))
+            space = CohomSpace(N, ells, sum(ells) - rng.randint(N + 1, N + 4))
+            if not 0 < space.dim() <= 1500:
+                continue
+            done += 1
+            factor_lists = [compositions(l, N + 1) for l in ells]
+            dens = compositions(space.denominator_weight - (N + 1), N + 1)
+            dens = [tuple(v + 1 for v in I) for I in dens]
+            for el, i in cech.basis_index(space).items():
+                combo = 0
+                for J, js in zip(el[:-1], factor_lists):
+                    combo = combo * len(js) + js.index(J)
+                assert i == combo * len(dens) + dens.index(el[-1])
 
 
 def test_basis_cap():
@@ -152,6 +180,35 @@ def _rule_built_maps():
 def test_mixed_support_matrices_match_class_action():
     for cm, act in _rule_built_maps():
         assert_matrix_matches_class_action(cm, act)
+
+
+def test_middle_factor_of_three_matches_class_action():
+    # factor 2 of 3: both the outer and the inner radix of the pull-back are > 1
+    space = CohomSpace(2, (1, 2, 1), -2)
+    f = random_homog(SplitMix64(31), 3, 2) + HomogPoly.variable(3, 1, 2).scaled(Fraction(1, 3))
+    assert_matrix_matches_class_action(
+        mul_dpoly_matrix(space, f, 2), lambda cls: apply_dpoly(cls, f, 2)
+    )
+    assert_matrix_matches_class_action(
+        euler_contraction_matrix(space, 2), lambda cls: apply_contraction(cls, 2)
+    )
+
+
+def test_shift_tables_increase_in_row_and_column():
+    # a shift sends distinct elements to distinct targets in the same order
+    cech._basis_cache.clear()
+    _rule_built_maps()
+    space = CohomSpace(2, (1, 2, 1), -2)
+    f = random_homog(SplitMix64(32), 3, 3)
+    for factor in (1, 2, 3):
+        mul_dpoly_matrix(space, f, factor)
+        euler_contraction_matrix(space, factor)
+    tables = [v for k, v in cech._basis_cache.items() if isinstance(k, tuple) and k[0] == "shift"]
+    assert len(tables) > 50
+    for keys, mults in tables:
+        for a, b in zip(keys, keys[1:]):
+            assert a[0] < b[0] and a[1] < b[1]
+        assert mults is None or len(mults) == len(keys)
 
 
 def test_rule_built_matrices_pass_the_checked_constructor_unchanged():

@@ -337,6 +337,28 @@ def test_cap_between_source_and_largest_target_exits_1(tmp_path):
     assert err.strip().splitlines() == ["error: basis size 40 exceeds cap 30"]
 
 
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
+    # an address-space limit on the child only: the interpreter runs `probes`
+    # in well under 60 MB, while the cohomology-dim0 command peaks near 190 MB
+    resource = pytest.importorskip("resource")
+    limit = 100 * 2**20
+
+    def limit_child():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotci.cli", "cohomology", "--N", "6", "--c", "3",
+         "--e", "4", "--ell", "3", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_child,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: out of memory in cohomology"]
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_euler_cross_check_failure_exits_2(monkeypatch, capsys, tmp_path):
     # two positive-degree limit factors, so omega runs the Euler cross-check
     def mismatch(space, cap=None):
