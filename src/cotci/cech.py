@@ -7,7 +7,8 @@ families of linear maps on it: multiplication by a polynomial,
 multiplication by the differential of a polynomial acting on one tensor
 factor, and the Euler contraction of one tensor factor. Each family is one
 rule (`MapRule`), a combination of coefficient-free monomial shifts, from
-which both its sparse matrix and its action on a single class are derived.
+which both its sparse matrix (to compute) and its action on a single class
+(to re-check) are derived.
 A shift's sparsity table is cached with the bases for one command, so maps
 that share monomials share their tables. A table is pulled back from the
 target through the product structure of the bases, without listing one.
@@ -128,24 +129,11 @@ def basis_index(space: CohomSpace, cap: int = DEFAULT_BASIS_CAP) -> dict:
     return cached
 
 
-@dataclass(frozen=True)
-class CohomMap:
-    """A sparse matrix together with its source and target spaces."""
+class CohomMap(NamedTuple):
+    """An assembled map: the rule that describes it and its sparse matrix."""
 
-    kind: str
+    rule: MapRule
     matrix: SparseMatrix
-    source: CohomSpace
-    target: CohomSpace
-    label: str = ""
-
-    def rank_data(self, rank_value=None):
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "source_dim": self.source.dim(),
-            "target_dim": self.target.dim(),
-            "rank": rank_value,
-        }
 
 
 class _Shift(NamedTuple):
@@ -258,8 +246,10 @@ class MapRule:
 
     `assemble` builds the sparse matrix of the map from the cached table of
     each shift and `act` applies it to a class; both read `shifts`, so a map
-    family is written once. `describe` gives the label text; it is called
-    only when the label is read, so a class action does no string work.
+    family is written once, read back from the target by `_shift_table` and
+    forward by `_Shift.image`, so the action re-checks what the matrix gave.
+    `describe` gives the label text; it is called only when the label is
+    read, so a class action does no string work.
     """
 
     kind: str
@@ -291,8 +281,7 @@ class MapRule:
         for c, shift in self.shifts:
             keys, mults = _shift_table(self.source, self.target, shift, cap)
             entries.update(zip(keys, repeat(c) if mults is None else [c * w for w in mults]))
-        matrix = SparseMatrix._adopt(QQ, self.target.dim(), self.source.dim(), entries)
-        return CohomMap(self.kind, matrix, self.source, self.target, self.label)
+        return CohomMap(self, SparseMatrix._adopt(QQ, self.target.dim(), self.source.dim(), entries))
 
     def act(self, cls: "CohomClass") -> "CohomClass":
         terms = self.terms

@@ -5,8 +5,8 @@ powers, twisted) as an explicit subspace of the monomial model of top
 cohomology on P^N: the intersection of the kernels of multiplication maps
 attached to the defining equations (and, for the untilded bundles, of the
 Euler contractions). Dimensions and bases come out of exact rational linear
-algebra; every result carries the list of constraint matrices that cut it
-out, so any basis vector can be re-verified by matrix-vector products alone.
+algebra; every result keeps the rules that cut it out (`cech.MapRule`), so any
+basis vector can be re-verified by the rules' forward action alone.
 
 Smoothness of the intersection chain is assumed, not certified: the linear
 algebra is computed unconditionally and results carry a disclaimer. A
@@ -57,6 +57,10 @@ class WitnessMembershipError(RuntimeError):
     """A constructed witness failed an exact kernel membership it must satisfy."""
 
 
+class RecheckError(RuntimeError):
+    """A computed kernel basis has a nonzero image under a rule that cut it out."""
+
+
 @dataclass
 class CompleteIntersectionInput:
     """Ordered defining equations F_1..F_c; order fixes the chain X_1 ⊇ ... ⊇ X_c."""
@@ -97,7 +101,7 @@ class CohomologyResult:
     subspace: SubspaceBasis
     dim: int
     certificate: list
-    constraints: list = dc_field(default_factory=list, repr=False)
+    constraints: list = dc_field(default_factory=list, repr=False)  # MapRules
     notes: str = SMOOTHNESS_DISCLAIMER
 
     def to_json_dict(self, include_basis=False):
@@ -117,13 +121,24 @@ class CohomologyResult:
         return out
 
 
+def _rejecting_rule(rules, classes):
+    """The first of `rules` whose forward action sends one of `classes` to a
+    nonzero class, or None: the engine's one kernel membership test."""
+    return next((r for r in rules for cls in classes if not r.act(cls).is_zero()), None)
+
+
+def _basis_classes(space: CohomSpace, basis: SubspaceBasis):
+    """The vectors of `basis` as classes of `space` (an empty basis lists no basis)."""
+    elements = cech.basis_enumerate(space) if basis.dim else []
+    return [CohomClass(space, {elements[i]: c for i, c in v.items()}) for v in basis.vectors]
+
+
 def verify_result(result: CohomologyResult) -> bool:
-    """Independent re-check: every basis vector maps to zero under every
-    stored constraint matrix (matrix-vector products only). An empty basis
-    passes without indexing any matrix."""
-    return result.subspace.dim == 0 or all(
-        apply_to_basis(cm.matrix, result.subspace).nnz() == 0 for cm in result.constraints
-    )
+    """Independent re-check: every constraint rule sends every basis vector,
+    read as a class, to 0 by its forward action; no matrix is built or read,
+    so a fault in the matrices whose kernels gave the basis fails here."""
+    classes = _basis_classes(result.ambient_space, result.subspace)
+    return _rejecting_rule(result.constraints, classes) is None
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +159,25 @@ def intersect_constraint_kernels(maps, start_basis=None):
     """
     if not maps:
         raise EngineError("no constraints to intersect")
-    source = maps[0].source
-    for m in maps:
-        if m.source != source:
-            raise EngineError("constraint sources differ")
-    order = sorted(range(len(maps)), key=lambda i: (-maps[i].target.dim(), i))
+    source = maps[0].rule.source
+    if any(cm.rule.source != source for cm in maps):
+        raise EngineError("constraint sources differ")
+    order = sorted(range(len(maps)), key=lambda i: (-maps[i].rule.target.dim(), i))
     n = source.dim()
     basis = start_basis
     certificate = []
     for idx in order:
-        cm = maps[idx]
+        rule, matrix = maps[idx]
         dim = n if basis is None else basis.dim
         rank_value = 0
         if dim:
-            restricted = cm.matrix if basis is None else apply_to_basis(cm.matrix, basis)
+            restricted = matrix if basis is None else apply_to_basis(matrix, basis)
             ker = kernel_basis(restricted)
             rank_value = dim - ker.dim
             basis = ker if basis is None else combine_basis(basis, ker)
-        entry = cm.rank_data(rank_value)
-        entry["applied_on_dim"] = dim
-        certificate.append(entry)
+        certificate.append({"kind": rule.kind, "label": rule.label, "source_dim": n,
+                            "target_dim": rule.target.dim(), "rank": rank_value,
+                            "applied_on_dim": dim})
     vectors = [] if basis is None else basis.vectors
     canonical = SubspaceBasis(QQ, n, rref_vectors(QQ, n, vectors))
     return canonical, certificate
@@ -239,7 +253,7 @@ def tilde_cohomology(
         empty = SubspaceBasis(QQ, 0, [])
         return CohomologyResult(q, space, empty, 0, [])
     basis, certificate = intersect_constraint_kernels(maps)
-    return CohomologyResult(q, space, basis, basis.dim, certificate, maps)
+    return CohomologyResult(q, space, basis, basis.dim, certificate, [cm.rule for cm in maps])
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +354,7 @@ def omega_cohomology(
         basis,
         basis.dim,
         tilde.certificate + extra_cert,
-        tilde.constraints + cmaps,
+        tilde.constraints + [cm.rule for cm in cmaps],
     )
 
 
@@ -424,12 +438,12 @@ def nonvanishing_witness(
     cls = CohomClass(space, coeffs)
     if cls.is_zero():
         return WitnessResult(cls, False, 0, degenerate=True)
-    for rule in rules:
-        if not rule.act(cls).is_zero():
-            raise WitnessMembershipError(
-                f"witness has nonzero image under {rule.kind} {rule.label}; "
-                "this indicates an implementation bug"
-            )
+    rule = _rejecting_rule(rules, [cls])
+    if rule is not None:
+        raise WitnessMembershipError(
+            f"witness has nonzero image under {rule.kind} {rule.label}; "
+            "this indicates an implementation bug"
+        )
     return WitnessResult(cls, True, len(rules))
 
 
@@ -642,11 +656,18 @@ def _pair_partial_constraints(space, F, G, cap):
 
 def jump_dimension(e, alpha, beta, avec=(0, 1, 2, 3, 4), cap=DEFAULT_BASIS_CAP):
     """dim of the common kernel of all ten partial-multiplication maps on
-    H^4(P^4, O(-4e)) for the deformed pair at (alpha, beta)."""
+    H^4(P^4, O(-4e)) for the deformed pair at (alpha, beta). The kernel basis
+    is re-checked as in `verify_result`; a failure raises RecheckError."""
     F, G = deformed_fermat_pair(e, alpha, beta, avec)
     space = CohomSpace(4, (), -4 * e)
     maps = _pair_partial_constraints(space, F, G, cap)
     basis, cert = intersect_constraint_kernels(maps)
+    rule = _rejecting_rule([cm.rule for cm in maps], _basis_classes(space, basis))
+    if rule is not None:
+        raise RecheckError(
+            f"kernel basis at alpha=({', '.join(map(str, alpha))}), "
+            f"beta=({', '.join(map(str, beta))}) has nonzero image under {rule.kind} {rule.label}"
+        )
     return basis.dim, cert
 
 

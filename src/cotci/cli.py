@@ -92,15 +92,19 @@ def _run_curve(cfg: RunConfig):
     ci = ci_engine.CompleteIntersectionInput(2, [F])
     setting = lam.LambdaSetting(2, (e,), ((), (1,)))
     result = ci_engine.tilde_cohomology(ci, setting, 0, cap=cfg.cap)
+    genus = (e - 1) * (e - 2) // 2
+    # the genus formula holds for a smooth curve, the paper's first check
     ok = (
         descent.euler_identity
         and descent.descent_top_identity
         and descent.descent_pair_identity
+        and ci_engine.verify_result(result)
+        and result.dim == genus
     )
     payload = {
         "F": F.to_text(),
         "dim": result.dim,
-        "genus_formula": (e - 1) * (e - 2) // 2,
+        "genus_formula": genus,
         "descent": descent.to_json_dict(),
         "verified": ok,
     }
@@ -218,6 +222,7 @@ def _run_jump(cfg: RunConfig):
         avec=tuple(cfg.params.get("avec") or (0, 1, 2, 3, 4)),
         cap=cfg.cap,
     )
+    # a kernel basis that fails its re-check raises RecheckError (exit 2)
     return report, True
 
 
@@ -319,7 +324,7 @@ def run(config: RunConfig) -> int:
     except (UsageError, PolyParseError, ValueError, BasisCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ci_engine.EulerCrossCheckError as exc:
+    except (ci_engine.EulerCrossCheckError, ci_engine.RecheckError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -187,14 +187,14 @@ def test_criterion_07_contraction_dimension_identity():
             continue
         factor = rng.randint(1, k)
         cm = euler_contraction_matrix(space, factor)
-        if cm.target.is_zero():
+        if cm.rule.target.is_zero():
             continue
         checked += 1
         r = rank(cm.matrix)
         from cotci.exactalg import kernel_basis
 
         kdim = kernel_basis(cm.matrix).dim
-        if r != cm.target.dim() or kdim != space.dim() - cm.target.dim():
+        if r != cm.rule.target.dim() or kdim != space.dim() - cm.rule.target.dim():
             ok = False
             break
     elapsed = time.time() - start

@@ -101,13 +101,13 @@ def test_mul_single_rules():
 
 def assert_matrix_matches_class_action(cm, act):
     # column j of the matrix is the class action on basis element j
-    space = cm.source
+    space = cm.rule.source
     idx = cech.basis_index(space)
-    tgt = cech.basis_index(cm.target)
+    tgt = cech.basis_index(cm.rule.target)
     cols = cm.matrix.col_lists()
     for el in basis_enumerate(space):
         out = act(CohomClass(space, {el: 1}))
-        assert out.space == cm.target
+        assert out.space == cm.rule.target
         assert dict(cols.get(idx[el], ())) == {tgt[e]: c for e, c in out.coeffs.items()}
 
 
@@ -270,7 +270,7 @@ def test_mul_dpoly_single_rules():
     f = HomogPoly.variable(3, 0, 2)  # dF = 2 Z0 dZ0
     cm = mul_dpoly_matrix(space, f, 1)
     src = cech.basis_index(space)
-    tgt = cech.basis_index(cm.target)
+    tgt = cech.basis_index(cm.rule.target)
     el = ((0, 1, 0), (2, 1, 1))  # dZ1 / (Z0^2 Z1 Z2)
     vec = cm.matrix.mul_vec({src[el]: 1})
     assert vec == {tgt[((1, 1, 0), (1, 1, 1))]: 2}
@@ -309,7 +309,7 @@ def test_contraction_rules():
     }
     cm = euler_contraction_matrix(space3, 1)
     col = cech.basis_index(space3)[((2, 1, 0), (2, 2, 1))]
-    row = cech.basis_index(cm.target)[((1, 1, 0), (1, 2, 1))]
+    row = cech.basis_index(cm.rule.target)[((1, 1, 0), (1, 2, 1))]
     assert cm.matrix.entries[(row, col)] == 2
 
 
@@ -327,8 +327,8 @@ def test_contraction_surjective_rank():
         done += 1
         cm = euler_contraction_matrix(space, 1)
         r = rank(cm.matrix)
-        assert r == cm.target.dim()
-        assert space.dim() - r == space.dim() - cm.target.dim()
+        assert r == cm.rule.target.dim()
+        assert space.dim() - r == space.dim() - cm.rule.target.dim()
 
 
 def test_mul_composition_is_product():
@@ -337,7 +337,7 @@ def test_mul_composition_is_product():
     f = random_homog(rng, 3, 2)
     g = random_homog(rng, 3, 1)
     first = mul_poly_matrix(space, f)
-    second = mul_poly_matrix(first.target, g)
+    second = mul_poly_matrix(first.rule.target, g)
     direct = mul_poly_matrix(space, g * f)
     src = cech.basis_index(space)
     for el in basis_enumerate(space):
@@ -351,10 +351,10 @@ def test_dpoly_factors_commute():
     f = random_homog(rng, 3, 2)
     g = random_homog(rng, 3, 3)
     a1 = mul_dpoly_matrix(space, f, 1)
-    a2 = mul_dpoly_matrix(a1.target, g, 2)
+    a2 = mul_dpoly_matrix(a1.rule.target, g, 2)
     b1 = mul_dpoly_matrix(space, g, 2)
-    b2 = mul_dpoly_matrix(b1.target, f, 1)
-    assert a2.target == b2.target
+    b2 = mul_dpoly_matrix(b1.rule.target, f, 1)
+    assert a2.rule.target == b2.rule.target
     src = cech.basis_index(space)
     for el in basis_enumerate(space):
         v = {src[el]: 1}
@@ -367,7 +367,7 @@ def test_truncation_order_independent():
     z1 = HomogPoly.variable(3, 1)
     one_step = mul_poly_matrix(space, z0 * z1)
     a = mul_poly_matrix(space, z0)
-    b = mul_poly_matrix(a.target, z1)
+    b = mul_poly_matrix(a.rule.target, z1)
     src = cech.basis_index(space)
     for el in basis_enumerate(space):
         v = {src[el]: 1}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cotci import cech, ci_engine, lambdacalc as lam
-from cotci.cech import BasisCapExceeded, CohomSpace
+from cotci.cech import BasisCapExceeded, CohomClass, CohomSpace
 from cotci.ci_engine import (
     CompleteIntersectionInput,
     EngineError,
@@ -53,18 +53,41 @@ def test_verify_result_rejects_vector_outside_a_kernel():
     setting = lam.LambdaSetting(2, (4,), ((), (1,)))
     res = tilde_cohomology(ci, setting, 0)
     assert verify_result(res)
-    *others, last = [cm.matrix for cm in res.constraints]
+    *others, last = res.constraints
+    space = res.ambient_space
+    elements = cech.basis_enumerate(space)
     n = res.subspace.ambient_dim
-    # a coordinate only the last constraint rejects, so the check must reach it
+
+    def rejects(rule, j):
+        return not rule.act(CohomClass(space, {elements[j]: 1})).is_zero()
+
+    # a coordinate only the last rule's action rejects, so the check must reach it
     j = next(
-        j for j in range(n)
-        if last.mul_vec({j: 1}) and not any(m.mul_vec({j: 1}) for m in others)
+        j for j in range(n) if rejects(last, j) and not any(rejects(r, j) for r in others)
     )
     good = res.subspace.vectors
     bad = dict(good[0])
     bad[j] = bad.get(j, 0) + 1
     broken = replace(res, subspace=SubspaceBasis(res.subspace.field, n, good[1:] + [bad]))
     assert not verify_result(broken)
+
+
+def test_verify_result_checks_rules_without_building_matrices(monkeypatch):
+    res = omega_cohomology(CompleteIntersectionInput(2, [diagonal_curve(4)]), (2,), 0)
+    assert res.dim == 6
+    # a result keeps the rules that cut it out, not their matrices
+    assert [type(r) for r in res.constraints] == [cech.MapRule] * 3
+    assert {r.kind for r in res.constraints} == {"mulF", "muldF", "contraction"}
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the re-check must not build or apply a matrix")
+
+    monkeypatch.setattr(cech.MapRule, "assemble", no_matrix)
+    monkeypatch.setattr(ci_engine, "apply_to_basis", no_matrix)
+    assert verify_result(res)
+    # an action that keeps the class makes the first rule reject the basis
+    monkeypatch.setattr(cech.MapRule, "act", lambda rule, cls: cls)
+    assert not verify_result(res)
 
 
 def test_result_json_shape():

@@ -49,6 +49,41 @@ def test_curve_command(tmp_path):
     assert [p["sign"] for p in pair] == [-1, 1]
 
 
+def test_curve_off_the_genus_formula_exits_2(tmp_path, capsys):
+    # Z0^4 is not smooth: its dimension is not the genus, so curve must not
+    # call its answer verified
+    out = tmp_path / "r.json"
+    assert cli.main(["curve", "--e", "4", "--P", "Z0", "--F", "Z0^4", "--out", str(out)]) == 2
+    result = json.loads(out.read_text())["result"]
+    assert (result["dim"], result["genus_formula"], result["verified"]) == (15, 3, False)
+    assert capsys.readouterr().err.splitlines() == ["verification failed"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--N", "3", "--c", "1", "--e", "5", "--ell", "1", "--tilde"],
+        ["curve", "--e", "4", "--P", "Z0"],
+        ["jump", "--e", "5", "--trials", "1"],
+    ],
+    ids=["cohomology", "curve", "jump"],
+)
+def test_planted_table_fault_fails_the_recheck(argv, monkeypatch, capsys, tmp_path):
+    # shift tables that drop their last key change every answer (48 instead
+    # of 44 for the cohomology); the re-check by the rules' forward action
+    # reads no table, so each command must exit 2
+    real = cech._shift_table
+
+    def dropping(*args):
+        keys, mults = real(*args)
+        return keys[:-1], None if mults is None else mults[:-1]
+
+    monkeypatch.setattr(cech, "_shift_table", dropping)
+    monkeypatch.setattr(cech, "_basis_cache", {})
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 2
+    assert "verification failed" in capsys.readouterr().err
+
+
 def test_curve_reads_polynomial_file(tmp_path):
     pfile = tmp_path / "poly.txt"
     pfile.write_text("Z0 + Z1\n")
