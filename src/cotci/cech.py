@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb, prod
+from os import environ
 from typing import NamedTuple
 
 from .exactalg import QQ, SparseMatrix
@@ -86,16 +87,27 @@ def _denominator_exponents(N, weight):
 _basis_cache: dict = {}
 
 
-def check_cap(space: CohomSpace, cap: int = DEFAULT_BASIS_CAP) -> None:
-    """Raise BasisCapExceeded when the basis of `space` is larger than `cap`."""
+def basis_cap() -> int:
+    """The largest basis any enumeration may list: `COTCI_CAP` when it is set
+    and not empty, else DEFAULT_BASIS_CAP. The one reader of `COTCI_CAP`; a
+    malformed value raises ValueError."""
+    value = environ.get("COTCI_CAP")
+    return int(value) if value else DEFAULT_BASIS_CAP
+
+
+def check_cap(space: CohomSpace) -> None:
+    """Raise BasisCapExceeded when the basis of `space` is larger than
+    `basis_cap()`; every enumeration, assembly and class-action re-check of a
+    space calls it, so one value bounds them all."""
     d = space.dim()
+    cap = basis_cap()
     if d > cap:
         raise BasisCapExceeded(f"basis size {d} exceeds cap {cap}")
 
 
-def basis_enumerate(space: CohomSpace, cap: int = DEFAULT_BASIS_CAP):
+def basis_enumerate(space: CohomSpace):
     """Ordered basis as tuples (J_1, ..., J_k, I); deterministic order."""
-    check_cap(space, cap)
+    check_cap(space)
     cached = _basis_cache.get(space)
     if cached is not None:
         return cached
@@ -120,11 +132,11 @@ def basis_enumerate(space: CohomSpace, cap: int = DEFAULT_BASIS_CAP):
     return elements
 
 
-def basis_index(space: CohomSpace, cap: int = DEFAULT_BASIS_CAP) -> dict:
+def basis_index(space: CohomSpace) -> dict:
     key = ("index", space)
     cached = _basis_cache.get(key)
     if cached is None:
-        cached = {el: i for i, el in enumerate(basis_enumerate(space, cap))}
+        cached = {el: i for i, el in enumerate(basis_enumerate(space))}
         _basis_cache[key] = cached
     return cached
 
@@ -172,7 +184,7 @@ class _Shift(NamedTuple):
         return el[:j] + (Jnew,) + el[j + 1 : -1] + (tuple(I),), 1 if step > 0 else J[m]
 
 
-def _shift_table(source: CohomSpace, target: CohomSpace, shift: _Shift, cap):
+def _shift_table(source: CohomSpace, target: CohomSpace, shift: _Shift):
     """Sparsity pattern of one shift from `source` to `target`: the (row, col)
     keys of the source elements whose image is not the zero class, in column
     order (rows increase too), and their multiplicities (None when all are 1).
@@ -199,8 +211,8 @@ def _shift_table(source: CohomSpace, target: CohomSpace, shift: _Shift, cap):
     support, j, m, step = shift
     N = source.ambient_N
     # the denominators are the bases of H^N(P^N, O(-w))
-    tden = basis_enumerate(CohomSpace(N, (), -target.denominator_weight), cap)
-    sden = basis_index(CohomSpace(N, (), -source.denominator_weight), cap)
+    tden = basis_enumerate(CohomSpace(N, (), -target.denominator_weight))
+    sden = basis_index(CohomSpace(N, (), -source.denominator_weight))
     imap = []
     for (I,) in tden:
         I = list(I)
@@ -272,14 +284,14 @@ class MapRule:
                 out.append((t, c * w))
         return out
 
-    def assemble(self, cap=DEFAULT_BASIS_CAP) -> CohomMap:
+    def assemble(self) -> CohomMap:
         # checked here too: a cached table or a map with no shifts reads no basis
-        check_cap(self.source, cap)
-        check_cap(self.target, cap)
+        check_cap(self.source)
+        check_cap(self.target)
         # one shift at a time: no result depends on the order of the entries
         entries = {}
         for c, shift in self.shifts:
-            keys, mults = _shift_table(self.source, self.target, shift, cap)
+            keys, mults = _shift_table(self.source, self.target, shift)
             entries.update(zip(keys, repeat(c) if mults is None else [c * w for w in mults]))
         return CohomMap(self, SparseMatrix._adopt(QQ, self.target.dim(), self.source.dim(), entries))
 
@@ -369,24 +381,20 @@ def euler_contraction_rule(space: CohomSpace, factor: int) -> MapRule:
     return MapRule("contraction", space, target, shifts, lambda: f"c_{factor}")
 
 
-def mul_poly_matrix(space: CohomSpace, f: HomogPoly, cap=DEFAULT_BASIS_CAP) -> CohomMap:
+def mul_poly_matrix(space: CohomSpace, f: HomogPoly) -> CohomMap:
     """Matrix of multiplication by f (see `mul_poly_rule`)."""
-    return mul_poly_rule(space, f).assemble(cap)
+    return mul_poly_rule(space, f).assemble()
 
 
-def mul_dpoly_matrix(
-    space: CohomSpace, f: HomogPoly, factor: int, cap=DEFAULT_BASIS_CAP
-) -> CohomMap:
+def mul_dpoly_matrix(space: CohomSpace, f: HomogPoly, factor: int) -> CohomMap:
     """Matrix of multiplication by df on one tensor factor (see `mul_dpoly_rule`)."""
-    return mul_dpoly_rule(space, f, factor).assemble(cap)
+    return mul_dpoly_rule(space, f, factor).assemble()
 
 
-def euler_contraction_matrix(
-    space: CohomSpace, factor: int, cap=DEFAULT_BASIS_CAP
-) -> CohomMap:
+def euler_contraction_matrix(space: CohomSpace, factor: int) -> CohomMap:
     """Matrix of the Euler contraction of one tensor factor
     (see `euler_contraction_rule`)."""
-    return euler_contraction_rule(space, factor).assemble(cap)
+    return euler_contraction_rule(space, factor).assemble()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from . import cech, lambdacalc as lam
-from .cech import CohomClass, CohomSpace, DEFAULT_BASIS_CAP
+from .cech import CohomClass, CohomSpace
 from .exactalg import (
     QQ,
     PrimeField,
@@ -210,21 +210,19 @@ def _tilde_multipliers(ci: CompleteIntersectionInput, setting, a):
     return space, multipliers
 
 
-def tilde_constraints(ci: CompleteIntersectionInput, setting, a, cap=DEFAULT_BASIS_CAP):
+def tilde_constraints(ci: CompleteIntersectionInput, setting, a):
     """Target space and the multiplication constraints cutting out the image."""
     space, multipliers = _tilde_multipliers(ci, setting, a)
     maps = [
-        cech.mul_poly_matrix(space, f, cap)
+        cech.mul_poly_matrix(space, f)
         if factor is None
-        else cech.mul_dpoly_matrix(space, f, factor, cap)
+        else cech.mul_dpoly_matrix(space, f, factor)
         for f, factor in multipliers
     ]
     return space, maps
 
 
-def tilde_cohomology(
-    ci: CompleteIntersectionInput, setting, a: int, cap=DEFAULT_BASIS_CAP
-) -> CohomologyResult:
+def tilde_cohomology(ci: CompleteIntersectionInput, setting, a: int) -> CohomologyResult:
     """Dimension and basis of H^{q}(X_p, tilde-power bundle, twist a) inside
     the monomial model of H^N(P^N, .): the intersection of ker(.F_i) with the
     kernels of the differential multiplications at every factor of level >= i.
@@ -248,7 +246,7 @@ def tilde_cohomology(
     # through unconditionally.
     if total > 0 and a >= total:
         raise EngineError(f"twist a={a} must be < {total}")
-    space, maps = tilde_constraints(ci, setting, a, cap)
+    space, maps = tilde_constraints(ci, setting, a)
     if space.is_zero():
         empty = SubspaceBasis(QQ, 0, [])
         return CohomologyResult(q, space, empty, 0, [])
@@ -289,16 +287,16 @@ def expected_euler_image_dim(space: CohomSpace) -> int:
     return rec(tuple((l, False) for l in space.factor_degrees))
 
 
-def euler_constraints(space: CohomSpace, cap=DEFAULT_BASIS_CAP):
+def euler_constraints(space: CohomSpace):
     """Contraction maps for every factor of positive degree."""
     return [
-        cech.euler_contraction_matrix(space, j + 1, cap)
+        cech.euler_contraction_matrix(space, j + 1)
         for j, l in enumerate(space.factor_degrees)
         if l >= 1
     ]
 
 
-def euler_image(space: CohomSpace, cap=DEFAULT_BASIS_CAP) -> SubspaceBasis:
+def euler_image(space: CohomSpace) -> SubspaceBasis:
     """The untilded top cohomology inside the tilde model: the intersection of
     the per-factor contraction kernels.
 
@@ -307,7 +305,7 @@ def euler_image(space: CohomSpace, cap=DEFAULT_BASIS_CAP) -> SubspaceBasis:
     """
     if any(l < 1 for l in space.factor_degrees):
         raise EngineError("euler_image needs every factor degree >= 1")
-    maps = euler_constraints(space, cap)
+    maps = euler_constraints(space)
     basis, _ = intersect_constraint_kernels(maps)
     expected = expected_euler_image_dim(space)
     if basis.dim != expected:
@@ -318,9 +316,7 @@ def euler_image(space: CohomSpace, cap=DEFAULT_BASIS_CAP) -> SubspaceBasis:
     return basis
 
 
-def omega_cohomology(
-    ci: CompleteIntersectionInput, ells, a: int, cap=DEFAULT_BASIS_CAP
-) -> CohomologyResult:
+def omega_cohomology(ci: CompleteIntersectionInput, ells, a: int) -> CohomologyResult:
     """H^q(X, tensor of S^{l_i} cotangent powers, twist a) for l_i >= c:
     the tilde subspace intersected with the Euler image."""
     ells = tuple(ells)
@@ -337,16 +333,16 @@ def omega_cohomology(
     setting = lam.LambdaSetting(
         ci.ambient_N, ci.degrees, tuple(() for _ in range(c)) + (ells,)
     )
-    tilde = tilde_cohomology(ci, setting, a, cap)
+    tilde = tilde_cohomology(ci, setting, a)
     space = tilde.ambient_space
-    cmaps = euler_constraints(space, cap)
+    cmaps = euler_constraints(space)
     if not cmaps:
         # every limit factor is S^0: the Euler image is the whole model
         return CohomologyResult(
             q, space, tilde.subspace, tilde.dim, tilde.certificate, tilde.constraints
         )
     if len(cmaps) >= 2:
-        euler_image(space, cap)  # mandatory multi-factor cross-check
+        euler_image(space)  # mandatory multi-factor cross-check
     basis, extra_cert = intersect_constraint_kernels(cmaps, start_basis=tilde.subspace)
     return CohomologyResult(
         q,
@@ -370,9 +366,7 @@ class WitnessResult:
     degenerate: bool = False
 
 
-def nonvanishing_witness(
-    setting, a: int, P: HomogPoly, coeff_rows=None, cap=DEFAULT_BASIS_CAP
-) -> WitnessResult:
+def nonvanishing_witness(setting, a: int, P: HomogPoly, coeff_rows=None) -> WitnessResult:
     """Expand the explicit residue witness for a Fermat-generic chain and
     verify its exact membership in every constraint kernel.
 
@@ -405,8 +399,8 @@ def nonvanishing_witness(
         for f, factor in multipliers
     ]
     for rule in rules:
-        cech.check_cap(rule.source, cap)
-        cech.check_cap(rule.target, cap)
+        cech.check_cap(rule.source)
+        cech.check_cap(rule.target)
     factors = lim.tuples[0]
     base = tuple(e - 1 for _ in range(N + 1))
     coeffs = {}
@@ -462,9 +456,7 @@ class SimplifiedBound:
         return self.result.dim
 
 
-def simplify_and_bound(
-    ci: CompleteIntersectionInput, setting, a: int, cap=DEFAULT_BASIS_CAP
-) -> SimplifiedBound:
+def simplify_and_bound(ci: CompleteIntersectionInput, setting, a: int) -> SimplifiedBound:
     """Iterate the exponent-lowering successor to a simple setting with the
     same q and compute its exact dimension: a lower bound for the original.
 
@@ -488,7 +480,7 @@ def simplify_and_bound(
     for s in chain:
         if s.q() != q0:
             raise EngineError("q drifted along the simplification chain")
-    result = tilde_cohomology(ci, current, a, cap)
+    result = tilde_cohomology(ci, current, a)
     return SimplifiedBound(current, chain, result)
 
 
@@ -646,21 +638,21 @@ def plane_curve_descent(F: HomogPoly, P: HomogPoly) -> PlaneCurveDescent:
 # deformation-jump experiment
 
 
-def _pair_partial_constraints(space, F, G, cap):
+def _pair_partial_constraints(space, F, G):
     maps = []
     for i in range(5):
         for poly in (F.partial_derivative(i), G.partial_derivative(i)):
-            maps.append(cech.mul_poly_matrix(space, poly, cap))
+            maps.append(cech.mul_poly_matrix(space, poly))
     return maps
 
 
-def jump_dimension(e, alpha, beta, avec=(0, 1, 2, 3, 4), cap=DEFAULT_BASIS_CAP):
+def jump_dimension(e, alpha, beta, avec=(0, 1, 2, 3, 4)):
     """dim of the common kernel of all ten partial-multiplication maps on
     H^4(P^4, O(-4e)) for the deformed pair at (alpha, beta). The kernel basis
     is re-checked as in `verify_result`; a failure raises RecheckError."""
     F, G = deformed_fermat_pair(e, alpha, beta, avec)
     space = CohomSpace(4, (), -4 * e)
-    maps = _pair_partial_constraints(space, F, G, cap)
+    maps = _pair_partial_constraints(space, F, G)
     basis, cert = intersect_constraint_kernels(maps)
     rule = _rejecting_rule([cm.rule for cm in maps], _basis_classes(space, basis))
     if rule is not None:
@@ -684,18 +676,18 @@ def generic_jump_parameters(rng: SplitMix64, avec):
         return al, be
 
 
-def jump_experiment(e, trials, seed, avec=(0, 1, 2, 3, 4), cap=DEFAULT_BASIS_CAP):
+def jump_experiment(e, trials, seed, avec=(0, 1, 2, 3, 4)):
     """Dimensions at the origin and at seeded random generic parameters, plus
     the recorded (never asserted) degenerate stratum beta1 = a0*alpha1."""
     if e < 5:
         raise EngineError("jump experiment needs e >= 5")
     rng = SplitMix64(seed)
-    dim0, _ = jump_dimension(e, (0, 0), (0, 0), avec, cap)
+    dim0, _ = jump_dimension(e, (0, 0), (0, 0), avec)
     random_dims = []
     params = []
     for _ in range(trials):
         al, be = generic_jump_parameters(rng, avec)
-        d, _ = jump_dimension(e, al, be, avec, cap)
+        d, _ = jump_dimension(e, al, be, avec)
         random_dims.append(d)
         params.append(
             {"alpha": [str(x) for x in al], "beta": [str(x) for x in be]}
@@ -705,7 +697,7 @@ def jump_experiment(e, trials, seed, avec=(0, 1, 2, 3, 4), cap=DEFAULT_BASIS_CAP
     beta_deg = (a0 * alpha_deg[0], Fraction(rng.nonzero_coeff()))
     while beta_deg[1] in (Fraction(avec[2]) * alpha_deg[1], Fraction(avec[3]) * alpha_deg[1]):
         beta_deg = (beta_deg[0], Fraction(rng.nonzero_coeff()))
-    dim_deg, _ = jump_dimension(e, alpha_deg, beta_deg, avec, cap)
+    dim_deg, _ = jump_dimension(e, alpha_deg, beta_deg, avec)
     return {
         "e": e,
         "seed": seed,

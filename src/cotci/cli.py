@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import cech, ci_engine, fermat as fermat_mod, lambdacalc as lam
-from .cech import DEFAULT_BASIS_CAP, BasisCapExceeded
+from .cech import BasisCapExceeded
 from .poly import (
     HomogPoly,
     PolyParseError,
@@ -31,9 +31,6 @@ from .poly import (
 )
 from .rng import SplitMix64
 
-COMMANDS = ("curve", "cohomology", "witness", "jump", "fermat-verify", "baselocus", "probes")
-
-
 class UsageError(ValueError):
     pass
 
@@ -44,10 +41,9 @@ class RunConfig:
     params: dict = dc_field(default_factory=dict)
     out: str | None = None
     include_basis: bool = False
-    cap: int = DEFAULT_BASIS_CAP
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _RUNNERS:
             raise UsageError(f"unknown command {self.command!r}")
 
 
@@ -91,7 +87,7 @@ def _run_curve(cfg: RunConfig):
     descent = ci_engine.plane_curve_descent(F, P)
     ci = ci_engine.CompleteIntersectionInput(2, [F])
     setting = lam.LambdaSetting(2, (e,), ((), (1,)))
-    result = ci_engine.tilde_cohomology(ci, setting, 0, cap=cfg.cap)
+    result = ci_engine.tilde_cohomology(ci, setting, 0)
     genus = (e - 1) * (e - 2) // 2
     # the genus formula holds for a smooth curve, the paper's first check
     ok = (
@@ -158,12 +154,12 @@ def _run_cohomology(cfg: RunConfig):
     if setting_text:
         setting = lam.parse_setting(setting_text)
         if setting.is_simple():
-            result = ci_engine.tilde_cohomology(ci, setting, a, cap=cfg.cap)
+            result = ci_engine.tilde_cohomology(ci, setting, a)
             payload = result.to_json_dict(include_basis=cfg.include_basis)
             payload["mode"] = "tilde"
             payload["setting"] = setting.serialize()
             return payload, ci_engine.verify_result(result)
-        bound = ci_engine.simplify_and_bound(ci, setting, a, cap=cfg.cap)
+        bound = ci_engine.simplify_and_bound(ci, setting, a)
         payload = bound.result.to_json_dict(include_basis=cfg.include_basis)
         payload["mode"] = "tilde-lower-bound"
         payload["setting"] = setting.serialize()
@@ -174,12 +170,12 @@ def _run_cohomology(cfg: RunConfig):
         raise UsageError("--ell (or --setting) is required")
     mode = "tilde" if cfg.params.get("tilde") else "omega"
     if mode == "omega":
-        result = ci_engine.omega_cohomology(ci, tuple(ells), a, cap=cfg.cap)
+        result = ci_engine.omega_cohomology(ci, tuple(ells), a)
     else:
         setting = lam.LambdaSetting(
             N, tuple(degrees), tuple(() for _ in range(c)) + (tuple(ells),)
         )
-        result = ci_engine.tilde_cohomology(ci, setting, a, cap=cfg.cap)
+        result = ci_engine.tilde_cohomology(ci, setting, a)
     payload = result.to_json_dict(include_basis=cfg.include_basis)
     payload["mode"] = mode
     payload["ell"] = list(ells)
@@ -192,7 +188,7 @@ def _run_witness(cfg: RunConfig):
     a = cfg.params.get("a", 0)
     P = _resolve_poly(cfg.params["P"], nvars=setting.ambient_N + 1)
     try:
-        res = ci_engine.nonvanishing_witness(setting, a, P, cap=cfg.cap)
+        res = ci_engine.nonvanishing_witness(setting, a, P)
     except ci_engine.WitnessMembershipError as exc:
         return {"nonzero": False, "error": str(exc)}, False
     payload = {
@@ -220,7 +216,6 @@ def _run_jump(cfg: RunConfig):
         _trials(cfg, 5),
         cfg.params.get("seed", 0),
         avec=tuple(cfg.params.get("avec") or (0, 1, 2, 3, 4)),
-        cap=cfg.cap,
     )
     # a kernel basis that fails its re-check raises RecheckError (exit 2)
     return report, True
@@ -453,15 +448,13 @@ def _config_from_args(args) -> RunConfig:
             params[key] = _fraction_pair(value, "--" + key)
         else:
             params[key] = value
-    cap = DEFAULT_BASIS_CAP
-    if os.environ.get("COTCI_CAP"):
-        cap = int(os.environ["COTCI_CAP"])
+    # a malformed cap value is a usage error before any work, for every command
+    cech.basis_cap()
     return RunConfig(
         command=args.command,
         params=params,
         out=args.out,
         include_basis=getattr(args, "basis", False),
-        cap=cap,
     )
 
 

@@ -124,24 +124,6 @@ def _check_same_field(a, b):
         raise FieldMismatchError(f"mixed fields: {a!r} vs {b!r}")
 
 
-def _mul_indexed(cols, vec, field) -> dict:
-    """Product of the matrix with column index `cols` and a sparse vector."""
-    out = {}
-    for c, x in vec.items():
-        if x == 0:
-            continue
-        for r, v in cols.get(c, ()):
-            w = out.get(r, 0) + v * x
-            if w:
-                out[r] = w
-            else:
-                out.pop(r, None)
-    if field.kind == "Fp":
-        p = field.p
-        out = {r: v % p for r, v in out.items() if v % p}
-    return out
-
-
 class SparseMatrix:
     """Immutable-by-convention sparse matrix; absent entries are zero.
 
@@ -204,13 +186,6 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             cols.setdefault(c, []).append((r, v))
         return cols
-
-    def mul_vec(self, vec: dict) -> dict:
-        """Matrix times one sparse column vector (dict coord -> value).
-
-        One product: building the column index costs O(nnz) per call, so
-        apply a matrix to many vectors with `apply_to_basis`."""
-        return _mul_indexed(self.col_lists(), vec, self.field)
 
     def nnz(self):
         return len(self.entries)
@@ -416,9 +391,21 @@ def apply_to_basis(matrix: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
     if matrix.ncols != basis.ambient_dim:
         raise DimensionError("matrix/basis dimension mismatch")
     cols = matrix.col_lists()
+    p = matrix.field.p if matrix.field.kind == "Fp" else 0
     ent = {}
     for j, vec in enumerate(basis.vectors):
-        img = _mul_indexed(cols, vec, matrix.field)
+        img = {}
+        for c, x in vec.items():
+            if x == 0:
+                continue
+            for r, v in cols.get(c, ()):
+                w = img.get(r, 0) + v * x
+                if w:
+                    img[r] = w
+                else:
+                    img.pop(r, None)
+        if p:
+            img = {r: v % p for r, v in img.items() if v % p}
         for r, v in img.items():
             ent[(r, j)] = v
     return SparseMatrix._adopt(matrix.field, matrix.nrows, basis.dim, ent)
@@ -496,10 +483,6 @@ class SpanReducer:
                     self._modp.append((inv, {c: v * inv % P for c, v in row.items()}))
                 else:
                     self._modp.append(None)
-
-    @property
-    def span_rank(self):
-        return len(self._pivots)
 
     def _certified_member(self, cur: dict) -> bool:
         """Whether the integer row cur is proven to lie in the span over Q.

@@ -479,10 +479,12 @@ def _common_zeros(polys, field):
     return walk((), start)
 
 
-# jet directions enumerated per point before sampling, and nonzero points
-# whose structured determinants are spot-checked
+# jet directions enumerated per point before sampling, nonzero points
+# whose structured determinants are spot-checked, and affine points a scan
+# may enumerate
 XI_LIMIT = 10_000
 SPOT_CHECKS = 50
+SCAN_CAP = 10_000_000
 
 
 def base_locus_scan(
@@ -491,7 +493,6 @@ def base_locus_scan(
     p: int,
     seed: int,
     chart: int = 0,
-    cap: int = 10_000_000,
 ) -> ScanReport:
     """Enumerate jet points of the intersection in the chart Z_chart = 1 over
     F_p and classify them by the rank criterion. Points outside the
@@ -503,8 +504,8 @@ def base_locus_scan(
         raise FermatError(f"twist a={a} leaves no numerator degree")
     field = PrimeField(p)
     N = sys.ambient_N
-    if p**N > cap:
-        raise FermatError(f"p^N = {p**N} exceeds cap {cap}")
+    if p**N > SCAN_CAP:
+        raise FermatError(f"p^N = {p**N} exceeds cap {SCAN_CAP}")
     warning = ""
     if 4 * sys.c < 3 * N - 2:
         warning = (

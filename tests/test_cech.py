@@ -25,6 +25,15 @@ def apply_contraction(cls, factor):
     return euler_contraction_rule(cls.space, factor).act(cls)
 
 
+def mul_vec(matrix, vec):
+    """matrix times one sparse column vector over Q, entry by entry."""
+    out = {}
+    for (r, c), v in matrix.entries.items():
+        if c in vec:
+            out[r] = out.get(r, 0) + v * vec[c]
+    return {r: v for r, v in out.items() if v}
+
+
 def fermat(nvars, e):
     return HomogPoly(nvars, {tuple(e if j == i else 0 for j in range(nvars)): 1 for i in range(nvars)})
 
@@ -84,9 +93,10 @@ def test_basis_index_is_mixed_radix():
                 assert i == combo * len(dens) + dens.index(el[-1])
 
 
-def test_basis_cap():
+def test_basis_cap(monkeypatch):
+    monkeypatch.setenv("COTCI_CAP", "10")
     with pytest.raises(BasisCapExceeded):
-        basis_enumerate(CohomSpace(4, (), -40), cap=10)
+        basis_enumerate(CohomSpace(4, (), -40))
 
 
 def test_mul_single_rules():
@@ -272,10 +282,10 @@ def test_mul_dpoly_single_rules():
     src = cech.basis_index(space)
     tgt = cech.basis_index(cm.rule.target)
     el = ((0, 1, 0), (2, 1, 1))  # dZ1 / (Z0^2 Z1 Z2)
-    vec = cm.matrix.mul_vec({src[el]: 1})
+    vec = mul_vec(cm.matrix, {src[el]: 1})
     assert vec == {tgt[((1, 1, 0), (1, 1, 1))]: 2}
     el2 = ((0, 1, 0), (1, 2, 1))  # truncates: Z0 exponent drops to 0
-    assert cm.matrix.mul_vec({src[el2]: 1}) == {}
+    assert mul_vec(cm.matrix, {src[el2]: 1}) == {}
 
 
 def test_plane_curve_class_in_dF_kernel():
@@ -342,7 +352,7 @@ def test_mul_composition_is_product():
     src = cech.basis_index(space)
     for el in basis_enumerate(space):
         v = {src[el]: 1}
-        assert second.matrix.mul_vec(first.matrix.mul_vec(v)) == direct.matrix.mul_vec(v)
+        assert mul_vec(second.matrix, mul_vec(first.matrix, v)) == mul_vec(direct.matrix, v)
 
 
 def test_dpoly_factors_commute():
@@ -358,7 +368,8 @@ def test_dpoly_factors_commute():
     src = cech.basis_index(space)
     for el in basis_enumerate(space):
         v = {src[el]: 1}
-        assert a2.matrix.mul_vec(a1.matrix.mul_vec(v)) == b2.matrix.mul_vec(b1.matrix.mul_vec(v))
+        via_a = mul_vec(a2.matrix, mul_vec(a1.matrix, v))
+        assert via_a == mul_vec(b2.matrix, mul_vec(b1.matrix, v))
 
 
 def test_truncation_order_independent():
@@ -371,7 +382,7 @@ def test_truncation_order_independent():
     src = cech.basis_index(space)
     for el in basis_enumerate(space):
         v = {src[el]: 1}
-        assert b.matrix.mul_vec(a.matrix.mul_vec(v)) == one_step.matrix.mul_vec(v)
+        assert mul_vec(b.matrix, mul_vec(a.matrix, v)) == mul_vec(one_step.matrix, v)
 
 
 def test_class_serialization_deterministic():

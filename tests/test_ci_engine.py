@@ -377,10 +377,27 @@ def test_witness_checks_rules_without_building_matrices(monkeypatch):
         nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1))
 
 
-def test_witness_checks_the_cap():
+def test_witness_checks_the_cap(monkeypatch):
+    monkeypatch.setenv("COTCI_CAP", "10")
     setting = lam.LambdaSetting(4, (5, 5), ((), (), (2,)))
     with pytest.raises(BasisCapExceeded, match="exceeds cap 10"):
-        nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1), cap=10)
+        nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1))
+
+
+def test_engine_and_recheck_read_one_cap(monkeypatch):
+    # the source has 84 elements; assembly and the re-check both read COTCI_CAP
+    ci = fermat_ci(3, 1, 5)
+    setting = lam.LambdaSetting(3, (5,), ((), (1,)))
+    monkeypatch.setenv("COTCI_CAP", "83")
+    with pytest.raises(BasisCapExceeded, match="^basis size 84 exceeds cap 83$"):
+        tilde_cohomology(ci, setting, 0)
+    monkeypatch.setenv("COTCI_CAP", "84")
+    result = tilde_cohomology(ci, setting, 0)
+    assert (result.ambient_space.dim(), result.dim) == (84, 44)
+    assert verify_result(result)
+    monkeypatch.setenv("COTCI_CAP", "83")
+    with pytest.raises(BasisCapExceeded, match="^basis size 84 exceeds cap 83$"):
+        verify_result(result)
 
 
 def test_order_invariance():

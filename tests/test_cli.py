@@ -372,6 +372,21 @@ def test_cap_between_source_and_largest_target_exits_1(tmp_path):
     assert err.strip().splitlines() == ["error: basis size 40 exceeds cap 30"]
 
 
+def test_malformed_cap_exits_1_before_any_work(monkeypatch, capsys, tmp_path):
+    # probes enumerates no basis, so only the check before the run can see it
+    monkeypatch.setenv("COTCI_CAP", "abc")
+    out = tmp_path / "r.json"
+    assert cli.main(["probes", "--trials", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: invalid literal for int() with base 10: 'abc'\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_unknown_command_is_a_usage_error():
+    with pytest.raises(cli.UsageError, match="unknown command 'nonsense'"):
+        cli.RunConfig(command="nonsense")
+
+
 def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
     # an address-space limit on the child only: the interpreter runs `probes`
     # in well under 60 MB, while the cohomology-dim0 command peaks near 190 MB
@@ -396,7 +411,7 @@ def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
 
 def test_euler_cross_check_failure_exits_2(monkeypatch, capsys, tmp_path):
     # two positive-degree limit factors, so omega runs the Euler cross-check
-    def mismatch(space, cap=None):
+    def mismatch(space):
         raise cli.ci_engine.EulerCrossCheckError("forced mismatch")
 
     monkeypatch.setattr(cli.ci_engine, "euler_image", mismatch)
@@ -422,7 +437,7 @@ def test_verification_failure_exits_2(monkeypatch, capsys, tmp_path):
 def test_witness_membership_failure_exits_2(monkeypatch, tmp_path):
     import cotci.ci_engine as eng
 
-    def boom(setting, a, P, coeff_rows=None, cap=None):
+    def boom(setting, a, P, coeff_rows=None):
         raise eng.WitnessMembershipError("forced failure")
 
     monkeypatch.setattr(eng, "nonvanishing_witness", boom)

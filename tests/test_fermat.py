@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cotci import fermat
 from cotci.exactalg import QQ, PrimeField, SparseMatrix, rank
 from cotci.fermat import (
     FermatError,
@@ -488,10 +489,11 @@ def test_common_zeros_match_pointwise_evaluation(N, p):
     )
 
 
-def test_scan_cap_and_warning():
+def test_scan_cap_and_warning(monkeypatch):
     sys_ = random_fermat_system(3, 2, 1, 7, seed=21)
-    with pytest.raises(FermatError, match="exceeds cap 10"):
-        base_locus_scan(sys_, 0, 5, seed=0, cap=10)
+    with monkeypatch.context() as m, pytest.raises(FermatError, match="exceeds cap 10"):
+        m.setattr(fermat, "SCAN_CAP", 10)
+        base_locus_scan(sys_, 0, 5, seed=0)
     weak = random_fermat_system(4, 1, 1, 9, seed=5)
     rep = base_locus_scan(weak, 0, 3, seed=5)
     assert rep.hypothesis_warning  # c below the recommended bound
