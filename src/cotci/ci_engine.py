@@ -26,6 +26,7 @@ from .exactalg import (
     PrimeField,
     SparseMatrix,
     SubspaceBasis,
+    _field_row,
     apply_to_basis,
     combine_basis,
     kernel_basis,
@@ -165,6 +166,11 @@ def intersect_constraint_kernels(maps, start_basis=None):
     order = sorted(range(len(maps)), key=lambda i: (-maps[i].rule.target.dim(), i))
     n = source.dim()
     basis = start_basis
+    if basis is not None:
+        # the running basis holds primitive integer vectors, as kernel_basis
+        # and combine_basis return them; only the canonical form below has
+        # Fractions
+        basis = SubspaceBasis(QQ, n, [_field_row(QQ, v) for v in basis.vectors])
     certificate = []
     for idx in order:
         rule, matrix = maps[idx]

@@ -21,7 +21,9 @@ with a pivot row, in place. Its invariants:
   column index of the elimination is kept in step by visiting those alone.
 
 Pivot rows are chosen by sparsity. The updates act on fresh working rows, so
-all public operations are pure; inputs are never mutated.
+all public operations are pure; inputs are never mutated. Over Q, kernel
+vectors and their combinations are primitive integer vectors too; only the
+canonical reduced form of `rref_vectors` creates Fractions.
 """
 
 from __future__ import annotations
@@ -332,9 +334,17 @@ def kernel_basis(matrix: SparseMatrix) -> SubspaceBasis:
     """Basis of the right kernel {v : Mv = 0}, dim = ncols - rank.
 
     The returned vectors are the canonical special solutions read off the
-    reduced echelon form: vector k has coordinate 1 at its own free column
-    and 0 at every other free column, so the basis is reproducible
-    bit-for-bit and already in reduced form over the free coordinates.
+    reduced echelon form: vector k is 0 at every free column but its own, so
+    the basis is reproducible bit-for-bit and already in reduced form over
+    the free coordinates. Over F_p vector k has coordinate 1 at its free
+    column. Over Q it is the special solution scaled to a primitive integer
+    vector, positive at its free column f: the pivot row r with lead l_r and
+    entry w_rf at f gives the special solution -w_rf/l_r at its pivot, so f
+    carries L_f, the lcm of the reduced denominators l_r/gcd(w_rf, l_r), and
+    each pivot -w_rf*L_f/l_r. The vector has content 1 as it stands: for a
+    prime power q^k exactly dividing L_f, some reduced denominator is
+    exactly divisible by q^k too, and q then divides neither L_f over it
+    nor the reduced numerator w_rf/gcd(w_rf, l_r) at that pivot.
 
     A one-entry row in column c puts e_c in the row space (stored entries
     are nonzero): c is a pivot column with reduced row e_c, and every kernel
@@ -343,7 +353,8 @@ def kernel_basis(matrix: SparseMatrix) -> SubspaceBasis:
     rows, without the settled columns, go through `_eliminate`, and a row
     left empty is dependent. The cost is linear in nnz for the one-entry
     rows, plus the elimination of the rest and one walk over its reduced
-    pivot rows, which hold their pivot column and free columns only.
+    pivot rows (two over Q, the first for the scales L_f), which hold their
+    pivot column and free columns only.
     """
     # per row: its one column, -1 when it has none, -2 when it has several
     single = [-1] * matrix.nrows
@@ -358,14 +369,23 @@ def kernel_basis(matrix: SparseMatrix) -> SubspaceBasis:
     pivots = _eliminate(rows, matrix.ncols, matrix.field, reduce=True)
     pivot_cols = settled.union(c for c, _ in pivots)
     p = matrix.field.p if matrix.field.kind == "Fp" else 0
-    one = 1 if p else Fraction(1)
-    by_free = {f: {f: one} for f in range(matrix.ncols) if f not in pivot_cols}
+    scale = {f: 1 for f in range(matrix.ncols) if f not in pivot_cols}
+    if not p:
+        for c, r in pivots:
+            lead = abs(rows[r][c])
+            for f, w in rows[r].items():
+                s = scale.get(f)
+                if s is not None:
+                    d = lead // gcd(w, lead)
+                    if s % d:
+                        scale[f] = s // gcd(s, d) * d
+    by_free = {f: {f: s} for f, s in scale.items()}
     for c, r in pivots:
         lead = rows[r][c]
         for f, w in rows[r].items():
             vec = by_free.get(f)
             if vec is not None:
-                vec[c] = -w % p if p else Fraction(-w, lead)
+                vec[c] = -w % p if p else -w * vec[f] // lead
     return SubspaceBasis(matrix.field, matrix.ncols, list(by_free.values()))
 
 
@@ -412,7 +432,11 @@ def apply_to_basis(matrix: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
 
 
 def combine_basis(basis: SubspaceBasis, coeffs: SubspaceBasis) -> SubspaceBasis:
-    """New basis {sum_j x_j b_j : x in coeffs} in the ambient of `basis`."""
+    """New basis {sum_j x_j b_j : x in coeffs} in the ambient of `basis`.
+
+    Over Q both bases hold integer vectors, as `kernel_basis` returns them,
+    and each combination is divided by its content: the result spans the
+    same space with primitive integer vectors."""
     _check_same_field(basis.field, coeffs.field)
     if coeffs.ambient_dim != basis.dim:
         raise DimensionError("coefficient length mismatch")
@@ -430,6 +454,8 @@ def combine_basis(basis: SubspaceBasis, coeffs: SubspaceBasis) -> SubspaceBasis:
                     vec.pop(coord, None)
         if modp:
             vec = {c: v % p for c, v in vec.items() if v % p}
+        else:
+            _strip_content(vec)
         vectors.append(vec)
     return SubspaceBasis(basis.field, basis.ambient_dim, vectors)
 

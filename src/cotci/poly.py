@@ -15,7 +15,6 @@ from fractions import Fraction
 from operator import add, sub
 
 from .exactalg import QQ, SparseMatrix, rank
-from .rng import SplitMix64
 
 
 def grevlex_key(exponents):
@@ -484,14 +483,3 @@ def deformed_fermat_pair(e, alpha, beta, avec):
         return HomogPoly(5, terms, e)
 
     return build([1] * 5, a1, a2), build(list(avec), b1, b2)
-
-
-def random_homog(rng: SplitMix64, nvars, degree, nterms=None):
-    """Seeded random homogeneous polynomial with coefficients in {-9..9}\\{0}."""
-    monos = compositions(degree, nvars)
-    if nterms is None:
-        nterms = min(len(monos), max(2, len(monos) // 3))
-    chosen = {}
-    for _ in range(nterms):
-        chosen[monos[rng.randint(0, len(monos) - 1)]] = rng.nonzero_coeff()
-    return HomogPoly(nvars, chosen, degree)

@@ -16,8 +16,9 @@ from cotci.cech import (
     mul_poly_matrix,
 )
 from cotci.exactalg import QQ, SparseMatrix, rank
-from cotci.poly import HomogPoly, compositions, random_homog
+from cotci.poly import HomogPoly, compositions
 from cotci.rng import SplitMix64
+from test_poly import random_homog
 
 
 def apply_contraction(cls, factor):

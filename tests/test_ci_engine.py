@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -360,6 +361,44 @@ def test_zero_start_basis_eliminates_nothing(monkeypatch):
     basis, cert = intersect_constraint_kernels(euler_constraints(zero_space))
     assert basis.dim == 0 and [c["applied_on_dim"] for c in cert] == [0, 0]
     assert calls == []
+
+
+def record_running_vectors(monkeypatch):
+    """Every basis vector passed to or returned by a restriction or a
+    combination of the intersection driver."""
+    seen = []
+
+    def recording(real):
+        def wrapper(*args):
+            out = real(*args)
+            for arg in (*args, out):
+                if isinstance(arg, SubspaceBasis):
+                    seen.extend(arg.vectors)
+            return out
+
+        return wrapper
+
+    for name in ("apply_to_basis", "combine_basis"):
+        monkeypatch.setattr(ci_engine, name, recording(getattr(ci_engine, name)))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: jump_dimension(5, (0, 0), (0, 0))[0],
+        # the start-basis path: the Euler step starts from the tilde subspace
+        lambda: omega_cohomology(fermat_ci(4, 1, 6), (2, 1), 0).dim,
+    ],
+    ids=["jump-e5-origin", "omega-N4-e6-ell21"],
+)
+def test_running_basis_is_primitive_integer_vectors(monkeypatch, compute):
+    seen = record_running_vectors(monkeypatch)
+    assert compute() > 0
+    assert seen
+    for vec in seen:
+        assert all(type(v) is int for v in vec.values())
+        assert gcd(*vec.values()) == 1
 
 
 def test_witness_checks_rules_without_building_matrices(monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -79,7 +80,9 @@ def test_rank_nullity_random(field):
 def dense_special_solutions(m):
     """Reference kernel basis by dense Gauss-Jordan elimination: one vector
     per free column, in column order, with 1 at that column and the negated
-    reduced-row entries at the pivot columns, in pivot order."""
+    reduced-row entries at the pivot columns, in pivot order. Over Q each
+    vector is then scaled to its primitive integer form, which is positive
+    at its free column."""
     p = m.field.p if m.field.kind == "Fp" else None
 
     def norm(x):
@@ -110,6 +113,10 @@ def dense_special_solutions(m):
         for i, c in enumerate(pivots):
             if a[i][f]:
                 vec[c] = norm(-a[i][f])
+        if not p:
+            den = lcm(*(x.denominator for x in vec.values()))
+            num = gcd(*(x.numerator * (den // x.denominator) for x in vec.values()))
+            vec = {c: int(x * den) // num for c, x in vec.items()}
         out.append(vec)
     return out
 
@@ -234,17 +241,34 @@ def test_apply_to_basis_equals_columnwise_product(field):
             assert mul_vec(m, vec) == {r: v for (r, k), v in ref.items() if k == j}
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_combine_basis_strips_the_content_over_qq(field):
+    # b0 - b1 and 3*b0 have content 2 and 3 over Q, which is divided out
+    basis = SubspaceBasis(field, 3, [{0: 2, 2: 1}, {1: 2, 2: 1}])
+    coeffs = SubspaceBasis(field, 2, [{0: 1, 1: -1}, {0: 3}])
+    got = combine_basis(basis, coeffs)
+    assert got.ambient_dim == 3
+    if field == QQ:
+        assert got.vectors == [{0: 1, 1: -1}, {0: 2, 2: 1}]
+    else:
+        assert got.vectors == [{0: 2, 1: 99}, {0: 6, 2: 3}]
+
+
 def test_kernel_vectors_are_reduced_special_solutions():
     m = SparseMatrix.from_rows(QQ, [[1, 2, 3, 4], [0, 0, 5, 6]])
     k = kernel_basis(m)
-    free_cols = sorted({next(iter(v for v in vec if vec[v] == 1)) for vec in k.vectors})
-    # each vector has coordinate 1 at its own free column, 0 at the others
-    for vec in k.vectors:
-        ones = [c for c in free_cols if vec.get(c, 0) == 1]
-        assert len(ones) == 1
+    pivot_cols = {min(row) for row in rref_vectors(QQ, m.ncols, m.row_dicts())}
+    free_cols = [c for c in range(m.ncols) if c not in pivot_cols]
+    assert free_cols == [1, 3] and k.dim == len(free_cols)
+    # each vector is positive at its own free column and absent at the others
+    for vec, f in zip(k.vectors, free_cols):
+        assert vec[f] > 0
         for c in free_cols:
-            if c != ones[0]:
+            if c != f:
                 assert c not in vec
+        # a primitive integer vector
+        assert all(type(x) is int for x in vec.values())
+        assert gcd(*vec.values()) == 1
 
 
 def test_qq_normalize_keeps_integers_as_ints():
@@ -268,7 +292,7 @@ def test_kernel_unchanged_by_integer_entries():
         got, ref = kernel_basis(m).vectors, kernel_basis(as_fractions).vectors
         assert got == ref
         assert [list(v) for v in got] == [list(v) for v in ref]
-        assert all(type(x) is Fraction for v in got for x in v.values())
+        assert all(type(x) is int for v in got for x in v.values())
 
 
 def test_qq_fp_dimension_agreement():

@@ -12,10 +12,20 @@ from cotci.poly import (
     grevlex_key,
     minors_nonzero,
     parse_poly,
-    random_homog,
     vandermonde_coeff_rows,
 )
 from cotci.rng import SplitMix64
+
+
+def random_homog(rng: SplitMix64, nvars, degree, nterms=None):
+    """Seeded random homogeneous polynomial with coefficients in {-9..9}\\{0}."""
+    monos = compositions(degree, nvars)
+    if nterms is None:
+        nterms = min(len(monos), max(2, len(monos) // 3))
+    chosen = {}
+    for _ in range(nterms):
+        chosen[monos[rng.randint(0, len(monos) - 1)]] = rng.nonzero_coeff()
+    return HomogPoly(nvars, chosen, degree)
 
 
 def Z(i, power=1, nvars=3):
