@@ -26,7 +26,7 @@ from .exactalg import (
     PrimeField,
     SparseMatrix,
     SubspaceBasis,
-    _field_row,
+    _SPAN_PRIME,
     apply_to_basis,
     combine_basis,
     kernel_basis,
@@ -59,7 +59,8 @@ class WitnessMembershipError(RuntimeError):
 
 
 class RecheckError(RuntimeError):
-    """A computed kernel basis has a nonzero image under a rule that cut it out."""
+    """A computed kernel basis has a nonzero image under a rule that cut it
+    out, or its vectors are linearly dependent."""
 
 
 @dataclass
@@ -97,13 +98,19 @@ def fermat_ci(N, c, e, coeff_rows=None) -> CompleteIntersectionInput:
 
 @dataclass
 class CohomologyResult:
+    """`subspace` is the primitive integer basis the intersection leaves; a
+    printed basis is the canonical RREF of its span."""
+
     q: int
     ambient_space: CohomSpace
     subspace: SubspaceBasis
-    dim: int
     certificate: list
     constraints: list = dc_field(default_factory=list, repr=False)  # MapRules
     notes: str = SMOOTHNESS_DISCLAIMER
+
+    @property
+    def dim(self):  # a count of vectors, which `verify_result` proves independent
+        return self.subspace.dim
 
     def to_json_dict(self, include_basis=False):
         out = {
@@ -117,7 +124,7 @@ class CohomologyResult:
         if include_basis:
             out["basis"] = [
                 {str(k): str(Fraction(v)) for k, v in vec.items()}
-                for vec in self.subspace.vectors
+                for vec in rref_vectors(QQ, self.subspace.ambient_dim, self.subspace.vectors)
             ]
         return out
 
@@ -128,18 +135,29 @@ def _rejecting_rule(rules, classes):
     return next((r for r in rules for cls in classes if not r.act(cls).is_zero()), None)
 
 
-def _basis_classes(space: CohomSpace, basis: SubspaceBasis):
-    """The vectors of `basis` as classes of `space` (an empty basis lists no basis)."""
-    elements = cech.basis_enumerate(space) if basis.dim else []
-    return [CohomClass(space, {elements[i]: c for i, c in v.items()}) for v in basis.vectors]
+def _recheck(rules, space: CohomSpace, basis: SubspaceBasis):
+    """Why the integer `basis` of `space` fails its re-check, or None.
+
+    Membership: every rule's forward action sends every basis vector, read
+    as a class, to 0; no matrix is built or read, so a fault in the matrices
+    whose kernels gave the basis fails here. Independence: rank mod P is at
+    most rank over Q, so a mod-P rank equal to the count proves it; a smaller
+    one is decided over Q."""
+    n, vectors = basis.ambient_dim, basis.vectors
+    elements = cech.basis_enumerate(space) if vectors else []
+    classes = [CohomClass(space, {elements[i]: c for i, c in v.items()}) for v in vectors]
+    rule = _rejecting_rule(rules, classes)
+    if rule is not None:
+        return f"has nonzero image under {rule.kind} {rule.label}"
+    if len(rref_vectors(PrimeField(_SPAN_PRIME), n, vectors)) < len(vectors):
+        if len(rref_vectors(QQ, n, vectors)) < len(vectors):
+            return "has linearly dependent vectors"
+    return None
 
 
 def verify_result(result: CohomologyResult) -> bool:
-    """Independent re-check: every constraint rule sends every basis vector,
-    read as a class, to 0 by its forward action; no matrix is built or read,
-    so a fault in the matrices whose kernels gave the basis fails here."""
-    classes = _basis_classes(result.ambient_space, result.subspace)
-    return _rejecting_rule(result.constraints, classes) is None
+    """Independent re-check of a result's basis by `_recheck`."""
+    return _recheck(result.constraints, result.ambient_space, result.subspace) is None
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +172,8 @@ def intersect_constraint_kernels(maps, start_basis=None):
     bite; applying the largest-target (highest-rank) constraints first keeps
     the intermediate subspace dimensions low. Once the running dimension is
     0, each remaining map is recorded with rank 0 and `applied_on_dim` 0 and
-    is not restricted or eliminated. Returns the canonical basis and a
+    is not restricted or eliminated. A `start_basis` holds integer vectors.
+    Returns the running basis as it stands, primitive integer vectors, and a
     certificate entry per constraint, in the order applied, with the rank
     observed on the subspace it was applied to.
     """
@@ -166,11 +185,6 @@ def intersect_constraint_kernels(maps, start_basis=None):
     order = sorted(range(len(maps)), key=lambda i: (-maps[i].rule.target.dim(), i))
     n = source.dim()
     basis = start_basis
-    if basis is not None:
-        # the running basis holds primitive integer vectors, as kernel_basis
-        # and combine_basis return them; only the canonical form below has
-        # Fractions
-        basis = SubspaceBasis(QQ, n, [_field_row(QQ, v) for v in basis.vectors])
     certificate = []
     for idx in order:
         rule, matrix = maps[idx]
@@ -184,9 +198,7 @@ def intersect_constraint_kernels(maps, start_basis=None):
         certificate.append({"kind": rule.kind, "label": rule.label, "source_dim": n,
                             "target_dim": rule.target.dim(), "rank": rank_value,
                             "applied_on_dim": dim})
-    vectors = [] if basis is None else basis.vectors
-    canonical = SubspaceBasis(QQ, n, rref_vectors(QQ, n, vectors))
-    return canonical, certificate
+    return SubspaceBasis(QQ, n, []) if basis is None else basis, certificate
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +267,9 @@ def tilde_cohomology(ci: CompleteIntersectionInput, setting, a: int) -> Cohomolo
     space, maps = tilde_constraints(ci, setting, a)
     if space.is_zero():
         empty = SubspaceBasis(QQ, 0, [])
-        return CohomologyResult(q, space, empty, 0, [])
+        return CohomologyResult(q, space, empty, [])
     basis, certificate = intersect_constraint_kernels(maps)
-    return CohomologyResult(q, space, basis, basis.dim, certificate, [cm.rule for cm in maps])
+    return CohomologyResult(q, space, basis, certificate, [cm.rule for cm in maps])
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +316,9 @@ def euler_constraints(space: CohomSpace):
 
 def euler_image(space: CohomSpace) -> SubspaceBasis:
     """The untilded top cohomology inside the tilde model: the intersection of
-    the per-factor contraction kernels.
+    the per-factor contraction kernels, as a primitive integer basis.
 
-    The dimension is always cross-checked against the chained exhaustion;
+    Its vector count is always cross-checked against the chained exhaustion;
     a mismatch raises EulerCrossCheckError rather than returning silently.
     """
     if any(l < 1 for l in space.factor_degrees):
@@ -344,9 +356,7 @@ def omega_cohomology(ci: CompleteIntersectionInput, ells, a: int) -> CohomologyR
     cmaps = euler_constraints(space)
     if not cmaps:
         # every limit factor is S^0: the Euler image is the whole model
-        return CohomologyResult(
-            q, space, tilde.subspace, tilde.dim, tilde.certificate, tilde.constraints
-        )
+        return CohomologyResult(q, space, tilde.subspace, tilde.certificate, tilde.constraints)
     if len(cmaps) >= 2:
         euler_image(space)  # mandatory multi-factor cross-check
     basis, extra_cert = intersect_constraint_kernels(cmaps, start_basis=tilde.subspace)
@@ -354,7 +364,6 @@ def omega_cohomology(ci: CompleteIntersectionInput, ells, a: int) -> CohomologyR
         q,
         space,
         basis,
-        basis.dim,
         tilde.certificate + extra_cert,
         tilde.constraints + [cm.rule for cm in cmaps],
     )
@@ -660,11 +669,11 @@ def jump_dimension(e, alpha, beta, avec=(0, 1, 2, 3, 4)):
     space = CohomSpace(4, (), -4 * e)
     maps = _pair_partial_constraints(space, F, G)
     basis, cert = intersect_constraint_kernels(maps)
-    rule = _rejecting_rule([cm.rule for cm in maps], _basis_classes(space, basis))
-    if rule is not None:
+    reason = _recheck([cm.rule for cm in maps], space, basis)
+    if reason is not None:
         raise RecheckError(
             f"kernel basis at alpha=({', '.join(map(str, alpha))}), "
-            f"beta=({', '.join(map(str, beta))}) has nonzero image under {rule.kind} {rule.label}"
+            f"beta=({', '.join(map(str, beta))}) {reason}"
         )
     return basis.dim, cert
 

@@ -42,9 +42,10 @@ class DimensionError(ValueError):
 
 
 class RationalField:
-    """The rationals; elements are ints or fractions.Fraction in lowest terms."""
+    """The rationals; elements are ints or fractions.Fraction in lowest terms.
+    Its characteristic `p` is 0, so `field.p` tells Q (0) from F_p (p)."""
 
-    kind = "QQ"
+    p = 0
 
     def normalize(self, x):
         """An int for an integral value, a Fraction otherwise."""
@@ -89,8 +90,6 @@ def _is_prime(n: int) -> bool:
 
 class PrimeField:
     """Residues mod a prime p, stored as ints in [0, p)."""
-
-    kind = "Fp"
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -228,8 +227,8 @@ def _strip_content(row: dict) -> None:
 def _field_row(field, vec: dict) -> dict:
     """A fresh elimination row for a sparse vector: coprime integers over Q,
     nonzero residues in [0, p) over F_p."""
-    if field.kind == "Fp":
-        p = field.p
+    p = field.p
+    if p:
         return {c: v % p for c, v in vec.items() if v % p}
     lcm = 1
     for v in vec.values():
@@ -291,7 +290,7 @@ def _eliminate(rows, ncols, field, reduce=True):
     columns are the leftmost independent ones regardless of the pivot-row
     choice.
     """
-    p = field.p if field.kind == "Fp" else 0
+    p = field.p
     colrows = {}
     for i, row in enumerate(rows):
         for c in row:
@@ -368,7 +367,7 @@ def kernel_basis(matrix: SparseMatrix) -> SubspaceBasis:
     rows = [_field_row(matrix.field, rest[r]) for r in sorted(rest)]
     pivots = _eliminate(rows, matrix.ncols, matrix.field, reduce=True)
     pivot_cols = settled.union(c for c, _ in pivots)
-    p = matrix.field.p if matrix.field.kind == "Fp" else 0
+    p = matrix.field.p
     scale = {f: 1 for f in range(matrix.ncols) if f not in pivot_cols}
     if not p:
         for c, r in pivots:
@@ -397,7 +396,7 @@ def rref_vectors(field, ambient_dim, vectors) -> list:
     """
     rows = [_field_row(field, v) for v in vectors]
     pivots = _eliminate(rows, ambient_dim, field, reduce=True)
-    if field.kind == "Fp":
+    if field.p:
         return [rows[r] for _, r in pivots]
     return [{k: Fraction(v, rows[r][c]) for k, v in rows[r].items()} for c, r in pivots]
 
@@ -411,7 +410,7 @@ def apply_to_basis(matrix: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
     if matrix.ncols != basis.ambient_dim:
         raise DimensionError("matrix/basis dimension mismatch")
     cols = matrix.col_lists()
-    p = matrix.field.p if matrix.field.kind == "Fp" else 0
+    p = matrix.field.p
     ent = {}
     for j, vec in enumerate(basis.vectors):
         img = {}
@@ -440,8 +439,7 @@ def combine_basis(basis: SubspaceBasis, coeffs: SubspaceBasis) -> SubspaceBasis:
     _check_same_field(basis.field, coeffs.field)
     if coeffs.ambient_dim != basis.dim:
         raise DimensionError("coefficient length mismatch")
-    modp = basis.field.kind == "Fp"
-    p = basis.field.p if modp else None
+    p = basis.field.p
     vectors = []
     for x in coeffs.vectors:
         vec = {}
@@ -452,7 +450,7 @@ def combine_basis(basis: SubspaceBasis, coeffs: SubspaceBasis) -> SubspaceBasis:
                     vec[coord] = w
                 else:
                     vec.pop(coord, None)
-        if modp:
+        if p:
             vec = {c: v % p for c, v in vec.items() if v % p}
         else:
             _strip_content(vec)
@@ -497,7 +495,7 @@ class SpanReducer:
         self.ncols = ncols
         self._rows = [_field_row(field, g) for g in generators]
         self._pivots = _eliminate(self._rows, ncols, field, reduce=False)
-        if field.kind == "QQ":
+        if not field.p:
             # per pivot: the inverse of its lead and the monic row mod P, or
             # None when P divides the lead
             P = _SPAN_PRIME
@@ -542,7 +540,7 @@ class SpanReducer:
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after reduction against the echelon rows."""
-        p = self.field.p if self.field.kind == "Fp" else 0
+        p = self.field.p
         cur = _field_row(self.field, vec)
         if not p and cur and self._certified_member(cur):
             return {}

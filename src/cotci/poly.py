@@ -65,10 +65,6 @@ class _PolyBase:
                 self.terms[mono] = coeff
 
     @classmethod
-    def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
     def variable(cls, nvars, i, power=1):
         mono = tuple(power if j == i else 0 for j in range(nvars))
         return cls(nvars, {mono: 1})

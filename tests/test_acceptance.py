@@ -36,6 +36,7 @@ from cotci.fermat import (
 )
 from cotci.poly import HomogPoly, fermat_generic_system
 from cotci.rng import SplitMix64
+from test_poly import constant
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -139,7 +140,7 @@ def test_criterion_04_deformation_jump():
 def test_criterion_05_nonvanishing_witness():
     start = time.time()
     setting = lam.LambdaSetting(4, (5, 5), ((), (), (2,)))
-    res = nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1))
+    res = nonvanishing_witness(setting, 0, constant(HomogPoly, 5, 1))
     elapsed = time.time() - start
     ok = res.nonzero and res.constraints_checked == 4 and not res.cls.is_zero()
     report(
@@ -151,7 +152,7 @@ def test_criterion_05_nonvanishing_witness():
 def test_criterion_06_determinantal_verification():
     start = time.time()
     sys_ = random_fermat_system(4, 2, 1, 9, seed=20260811)
-    P = HomogPoly.constant(5, 1)
+    P = constant(HomogPoly, 5, 1)
     I = (1, 2)
     membership = verify_kernel_membership(sys_, I, P, 0)
     minors = letter_minors(sys_, I)

@@ -26,8 +26,9 @@ from cotci.ci_engine import (
     tilde_cohomology,
     verify_result,
 )
-from cotci.exactalg import QQ, SubspaceBasis
+from cotci.exactalg import QQ, PrimeField, SubspaceBasis, _SPAN_PRIME, rref_vectors
 from cotci.poly import HomogPoly, deformed_fermat_pair, fermat_generic_system, parse_poly
+from test_poly import constant
 
 
 def diagonal_curve(e):
@@ -71,6 +72,17 @@ def test_verify_result_rejects_vector_outside_a_kernel():
     bad[j] = bad.get(j, 0) + 1
     broken = replace(res, subspace=SubspaceBasis(res.subspace.field, n, good[1:] + [bad]))
     assert not verify_result(broken)
+
+
+def test_recheck_proves_independence_over_qq_when_the_prime_drops_the_rank():
+    space = CohomSpace(2, (), -4)  # 1/Z^I with I_i >= 1, |I| = 4: dim 3
+    P = _SPAN_PRIME
+    independent = SubspaceBasis(QQ, space.dim(), [{0: 1}, {1: P}])
+    # mod P the second vector is 0, so the mod-P rank alone proves nothing
+    assert len(rref_vectors(PrimeField(P), space.dim(), independent.vectors)) == 1
+    assert ci_engine._recheck([], space, independent) is None
+    dependent = SubspaceBasis(QQ, space.dim(), [{0: 1, 1: 2}, {0: -3, 1: -6}])
+    assert ci_engine._recheck([], space, dependent) == "has linearly dependent vectors"
 
 
 def test_verify_result_checks_rules_without_building_matrices(monkeypatch):
@@ -193,7 +205,7 @@ def test_omega_validation():
 
 def test_witness_theorem_b_instance():
     setting = lam.LambdaSetting(4, (5, 5), ((), (), (2,)))
-    res = nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1))
+    res = nonvanishing_witness(setting, 0, constant(HomogPoly, 5, 1))
     assert res.nonzero and res.constraints_checked == 4
     assert list(res.cls.coeffs) == [
         ((0, 0, 0, 0, 0), (4, 4, 4, 4, 4)),
@@ -202,7 +214,7 @@ def test_witness_theorem_b_instance():
 
 def test_witness_hypersurface_instance():
     setting = lam.LambdaSetting(3, (5,), ((), (1, 1)))
-    res = nonvanishing_witness(setting, -1, HomogPoly.constant(4, 1))
+    res = nonvanishing_witness(setting, -1, constant(HomogPoly, 4, 1))
     assert res.nonzero
 
 
@@ -256,7 +268,7 @@ def test_descent_fermat_quartic():
 
 
 def test_descent_cubic_unique_form():
-    d = plane_curve_descent(diagonal_curve(3), HomogPoly.constant(3, 1))
+    d = plane_curve_descent(diagonal_curve(3), constant(HomogPoly, 3, 1))
     assert d.descent_pair_identity
     ci = CompleteIntersectionInput(2, [diagonal_curve(3)])
     res = tilde_cohomology(ci, lam.LambdaSetting(2, (3,), ((), (1,))), 0)
@@ -265,7 +277,7 @@ def test_descent_cubic_unique_form():
 
 def test_descent_validation():
     with pytest.raises(EngineError):
-        plane_curve_descent(diagonal_curve(4), HomogPoly.constant(3, 1))  # deg P
+        plane_curve_descent(diagonal_curve(4), constant(HomogPoly, 3, 1))  # deg P
     with pytest.raises(EngineError):
         plane_curve_descent(HomogPoly.variable(3, 0, 2), HomogPoly.zero(3))
 
@@ -408,19 +420,19 @@ def test_witness_checks_rules_without_building_matrices(monkeypatch):
     monkeypatch.setattr(cech, "mul_poly_matrix", no_matrix)
     monkeypatch.setattr(cech, "mul_dpoly_matrix", no_matrix)
     setting = lam.LambdaSetting(4, (5, 5), ((), (), (2,)))
-    res = nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1))
+    res = nonvanishing_witness(setting, 0, constant(HomogPoly, 5, 1))
     assert res.nonzero and res.constraints_checked == 4
     # an action that keeps the class makes the first constraint reject it
     monkeypatch.setattr(cech.MapRule, "act", lambda rule, cls: cls)
     with pytest.raises(WitnessMembershipError, match=r"under mulF \*\("):
-        nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1))
+        nonvanishing_witness(setting, 0, constant(HomogPoly, 5, 1))
 
 
 def test_witness_checks_the_cap(monkeypatch):
     monkeypatch.setenv("COTCI_CAP", "10")
     setting = lam.LambdaSetting(4, (5, 5), ((), (), (2,)))
     with pytest.raises(BasisCapExceeded, match="exceeds cap 10"):
-        nonvanishing_witness(setting, 0, HomogPoly.constant(5, 1))
+        nonvanishing_witness(setting, 0, constant(HomogPoly, 5, 1))
 
 
 def test_engine_and_recheck_read_one_cap(monkeypatch):

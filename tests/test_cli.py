@@ -84,6 +84,42 @@ def test_planted_table_fault_fails_the_recheck(argv, monkeypatch, capsys, tmp_pa
     assert "verification failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, dims, honest",
+    [
+        (["cohomology", "--N", "4", "--c", "1", "--e", "6", "--ell", "2,1"],
+         lambda rep: rep["dim"], 670),
+        (["jump", "--e", "7", "--trials", "1", "--seed", "42"],
+         lambda rep: (rep["dim_at_origin"], rep["dims_at_random_parameters"],
+                      rep["degenerate_case"]["dim"]),
+         (15, [0], 0)),
+    ],
+    ids=["cohomology", "jump"],
+)
+def test_planted_duplicate_vector_never_passes_as_a_dimension(
+    argv, dims, honest, monkeypatch, capsys, tmp_path
+):
+    # a combination step that repeats a vector keeps every vector in every
+    # kernel, so only the re-check's independence proof tells the vector
+    # count from the dimension: the command may exit 0 only with the honest
+    # answer, and exits 2 otherwise
+    real = cli.ci_engine.combine_basis
+
+    def duplicating(basis, coeffs):
+        out = real(basis, coeffs)
+        if out.vectors:
+            out.vectors.append(dict(out.vectors[0]))
+        return out
+
+    monkeypatch.setattr(cli.ci_engine, "combine_basis", duplicating)
+    out = tmp_path / "r.json"
+    code = cli.main([*argv, "--out", str(out)])
+    if code == 0:
+        assert dims(json.loads(out.read_text())["result"]) == honest
+    else:
+        assert code == 2 and "verification failed" in capsys.readouterr().err
+
+
 def test_curve_reads_polynomial_file(tmp_path):
     pfile = tmp_path / "poly.txt"
     pfile.write_text("Z0 + Z1\n")
@@ -482,6 +518,7 @@ def test_report_matches_golden_digest(tmp_path, argv):
     # that alters any report fails here
     code, rep, err = run_cli(argv, tmp_path / "r.json")
     assert code == 0, err
+    jsonschema.validate(rep, SCHEMA)  # four of them print a basis
     canonical = json.dumps(strip_wall_time(rep), sort_keys=True, separators=(",", ":"))
     expected = next(e["sha256"] for e in GOLDEN["reports"] if e["argv"] == argv)
     assert hashlib.sha256(canonical.encode()).hexdigest() == expected

@@ -26,7 +26,7 @@ def mul_vec(m, vec):
     for (r, c), v in m.entries.items():
         if c in vec:
             out[r] = out.get(r, 0) + v * vec[c]
-    p = m.field.p if m.field.kind == "Fp" else 0
+    p = m.field.p
     out = {r: v % p if p else v for r, v in out.items()}
     return {r: v for r, v in out.items() if v}
 
@@ -83,7 +83,7 @@ def dense_special_solutions(m):
     reduced-row entries at the pivot columns, in pivot order. Over Q each
     vector is then scaled to its primitive integer form, which is positive
     at its free column."""
-    p = m.field.p if m.field.kind == "Fp" else None
+    p = m.field.p
 
     def norm(x):
         return x % p if p else Fraction(x)
@@ -219,7 +219,7 @@ def test_only_one_entry_rows_reach_no_elimination(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)])
 def test_apply_to_basis_equals_columnwise_product(field):
     rng = SplitMix64(29)
-    p = field.p if field.kind == "Fp" else None
+    p = field.p
     for nrows, ncols, density in RANDOM_SHAPES:
         m = random_sparse(rng, field, nrows, ncols, density)
         vectors = [{}, {0: 0, ncols - 1: 1}]

@@ -29,11 +29,12 @@ from cotci.fermat import (
 from cotci.ci_engine import plane_curve_descent
 from cotci.poly import AffinePoly, HomogPoly
 from cotci.rng import SplitMix64
+from test_poly import constant
 
 
 def constant_system(N, c, e, rows):
     grid = tuple(
-        tuple(HomogPoly.constant(N + 1, v) for v in row) for row in rows
+        tuple(constant(HomogPoly, N + 1, v) for v in row) for row in rows
     )
     return FermatSystem(N, c, 0, e, grid)
 
@@ -71,7 +72,7 @@ def split_form(form):
 
 
 def test_letters_examples():
-    one = HomogPoly.constant(3, 1)
+    one = constant(HomogPoly, 3, 1)
     a, al = letters(one, 1, 4)
     assert a == HomogPoly.variable(3, 1)
     # 4 dZ_1
@@ -87,7 +88,7 @@ def test_letters_examples():
 
 
 def test_affine_letters_example():
-    one = AffinePoly.constant(2, 1)
+    one = constant(AffinePoly, 2, 1)
     b, be = letters(one, 0, 5)
     assert b == AffinePoly.variable(2, 0)
     # 5 xi_1
@@ -115,9 +116,9 @@ def test_equation_expansion():
 
 def test_tilde_cocycle_repeated_rows_vanish():
     rows = [[1, 2, 3, 4], [1, 2, 3, 4]]
-    grid = tuple(tuple(HomogPoly.constant(4, v) for v in row) for row in rows)
+    grid = tuple(tuple(constant(HomogPoly, 4, v) for v in row) for row in rows)
     sys_ = FermatSystem(3, 2, 0, 5, grid)
-    assert all(num.is_zero() for num in chart_numerators(sys_, (1,), HomogPoly.constant(4, 1)))
+    assert all(num.is_zero() for num in chart_numerators(sys_, (1,), constant(HomogPoly, 4, 1)))
 
 
 def test_tilde_cocycle_zero_numerator():
@@ -156,7 +157,7 @@ def test_tilde_cocycle_plane_curve_specialization():
 
 def test_kernel_membership_criterion_instance():
     sys_ = crit6_system()
-    assert verify_kernel_membership(sys_, (1, 2), HomogPoly.constant(5, 1), 0)
+    assert verify_kernel_membership(sys_, (1, 2), constant(HomogPoly, 5, 1), 0)
 
 
 def test_kernel_membership_negative_control():
@@ -181,7 +182,7 @@ def test_kernel_membership_epsilon_zero_matches_witness():
 
     rows = vandermonde_coeff_rows(4, 2)
     sys_ = constant_system(4, 2, 5, rows)
-    P = HomogPoly.constant(5, 1)
+    P = constant(HomogPoly, 5, 1)
     assert verify_kernel_membership(sys_, (1, 2), P, 0)
     setting = lam.LambdaSetting(4, (5, 5), ((), (), (2,)))
     res = nonvanishing_witness(setting, 0, P, coeff_rows=rows)
@@ -208,7 +209,7 @@ def test_glue_plane_curve_and_corrupted_sign():
 
 def test_glue_small_codim_two():
     sys_ = random_fermat_system(3, 2, 0, 4, seed=11)
-    P = HomogPoly.constant(4, 1)  # max degree at a=0 is e-N-1 = 0
+    P = constant(HomogPoly, 4, 1)  # max degree at a=0 is e-N-1 = 0
     nums = chart_numerators(sys_, (1,), P)
     red = glue_reducer_for(sys_, (1,), P)
     for a, b in itertools.combinations(range(4), 2):
@@ -217,15 +218,15 @@ def test_glue_small_codim_two():
 
 def test_glue_difference_is_nonzero_before_reduction():
     sys_ = crit6_system()
-    nums = chart_numerators(sys_, (1, 2), HomogPoly.constant(5, 1))
+    nums = chart_numerators(sys_, (1, 2), constant(HomogPoly, 5, 1))
     assert not cleared_difference(sys_, nums, 0, 1).is_zero()
 
 
 @pytest.mark.parametrize(
     "sys_, I, P",
     [
-        (crit6_system(), (1, 2), HomogPoly.constant(5, 1)),
-        (crit6_system(), (2, 1), HomogPoly.constant(5, 1)),
+        (crit6_system(), (1, 2), constant(HomogPoly, 5, 1)),
+        (crit6_system(), (2, 1), constant(HomogPoly, 5, 1)),
         (random_fermat_system(3, 2, 0, 5, seed=11), (1,), HomogPoly.variable(4, 2)),
         (constant_system(2, 1, 4, [[2, 3, 5]]), (1,), HomogPoly.variable(3, 0)),
     ],
@@ -537,4 +538,4 @@ def test_system_validation():
     with pytest.raises(FermatError, match="length n = 1"):
         letter_minors(sys_, (1, 1))
     with pytest.raises(FermatError, match="exceeds the bound"):
-        tilde_cocycle(sys_, letter_minors(sys_, (1,)), HomogPoly.constant(4, 1))
+        tilde_cocycle(sys_, letter_minors(sys_, (1,)), constant(HomogPoly, 4, 1))

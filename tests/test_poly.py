@@ -28,6 +28,11 @@ def random_homog(rng: SplitMix64, nvars, degree, nterms=None):
     return HomogPoly(nvars, chosen, degree)
 
 
+def constant(cls, nvars, value):
+    """The constant polynomial `value` of `cls` (HomogPoly or AffinePoly)."""
+    return cls(nvars, {(0,) * nvars: value})
+
+
 def Z(i, power=1, nvars=3):
     return HomogPoly.variable(nvars, i, power)
 
