@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import product, repeat
 from math import comb, prod
 from os import environ
 from typing import NamedTuple
@@ -74,13 +74,6 @@ class CohomSpace:
         return f"H^{self.ambient_N}(Omega~^({ls})({self.twist}))"
 
 
-def _denominator_exponents(N, weight):
-    """All I with N+1 entries >= 1 summing to `weight`, canonical order."""
-    inner = compositions(weight - (N + 1), N + 1)
-    # adding 1 to every entry keeps grevlex order
-    return [tuple(v + 1 for v in t) for t in inner]
-
-
 # Bases (keyed by space), their index maps (("index", space)) and shift
 # tables (("shift", source, target, shift)); `cli.run` empties it when a
 # command ends.
@@ -106,30 +99,17 @@ def check_cap(space: CohomSpace) -> None:
 
 
 def basis_enumerate(space: CohomSpace):
-    """Ordered basis as tuples (J_1, ..., J_k, I); deterministic order."""
+    """Ordered basis as tuples (J_1, ..., J_k, I): J_1 outermost, then ...
+    J_k, then I, each list in grevlex order; deterministic."""
     check_cap(space)
     cached = _basis_cache.get(space)
-    if cached is not None:
-        return cached
-    N = space.ambient_N
-    if space.is_zero():
-        _basis_cache[space] = []
-        return []
-    factor_lists = [compositions(l, N + 1) for l in space.factor_degrees]
-    denom = _denominator_exponents(N, space.denominator_weight)
-    elements = []
-
-    def rec(prefix, idx):
-        if idx == len(factor_lists):
-            for I in denom:
-                elements.append(prefix + (I,))
-            return
-        for J in factor_lists[idx]:
-            rec(prefix + (J,), idx + 1)
-
-    rec((), 0)
-    _basis_cache[space] = elements
-    return elements
+    if cached is None:
+        N = space.ambient_N
+        factor_lists = [compositions(l, N + 1) for l in space.factor_degrees]
+        denominators = compositions(space.denominator_weight, N + 1, least=1)
+        cached = [(*Js, I) for Js in product(*factor_lists) for I in denominators]
+        _basis_cache[space] = cached
+    return cached
 
 
 def basis_index(space: CohomSpace) -> dict:
@@ -461,6 +441,33 @@ class CohomClass:
             den = "Z^" + "".join(str(v) for v in el[-1])
             chunks.append(f"{Fraction(c)} * {dzs}/{den}" if dzs else f"{Fraction(c)} * 1/{den}")
         return "  +  ".join(chunks)
+
+
+def residue_class(space: CohomSpace, P: HomogPoly, r: int) -> CohomClass:
+    """The residue class P/(Z_0...Z_N)^r tensored with (Z_0 dZ_1 - Z_1 dZ_0)^l
+    on every tensor factor of `space`, l its degree, on the monomial basis.
+
+    (Z_0 dZ_1 - Z_1 dZ_0)^l = sum_t C(l, t) (-1)^(l-t) Z_0^t Z_1^(l-t)
+    dZ_0^(l-t) dZ_1^t, and the numerator monomials lower the denominator; a
+    term whose exponent drops below 1 is the zero class. No two terms share
+    an element: the J's give the t's, and then I gives the monomial of P.
+    """
+    N = space.ambient_N
+    degrees = space.factor_degrees
+    coeffs = {}
+    for M, c in P.terms.items():
+        for ts in product(*(range(l + 1) for l in degrees)):
+            I = [r - m for m in M]
+            Js = []
+            coeff = c
+            for l, t in zip(degrees, ts):
+                coeff *= comb(l, t) * (-1) ** (l - t)
+                Js.append((l - t, t) + (0,) * (N - 1))
+                I[0] -= t
+                I[1] -= l - t
+            if min(I) >= 1:
+                coeffs[(*Js, tuple(I))] = coeff
+    return CohomClass(space, coeffs)
 
 
 def apply_poly(cls: CohomClass, f: HomogPoly) -> CohomClass:

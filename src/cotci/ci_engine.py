@@ -416,35 +416,7 @@ def nonvanishing_witness(setting, a: int, P: HomogPoly, coeff_rows=None) -> Witn
     for rule in rules:
         cech.check_cap(rule.source)
         cech.check_cap(rule.target)
-    factors = lim.tuples[0]
-    base = tuple(e - 1 for _ in range(N + 1))
-    coeffs = {}
-    if not P.is_zero():
-        choices = [()]
-        for l in factors:
-            choices = [prev + (t,) for prev in choices for t in range(l + 1)]
-        for Pm, cP in P.terms.items():
-            for ts in choices:
-                coeff = cP
-                I = list(base)
-                for m, ex in enumerate(Pm):
-                    I[m] -= ex
-                Js = []
-                for l, t in zip(factors, ts):
-                    coeff *= comb(l, t) * (-1) ** (l - t)
-                    J = [0] * (N + 1)
-                    J[0], J[1] = l - t, t
-                    Js.append(tuple(J))
-                    I[0] -= t
-                    I[1] -= l - t
-                if min(I) >= 1:
-                    key = tuple(Js) + (tuple(I),)
-                    w = coeffs.get(key, 0) + coeff
-                    if w:
-                        coeffs[key] = w
-                    else:
-                        del coeffs[key]
-    cls = CohomClass(space, coeffs)
+    cls = cech.residue_class(space, P, e - 1)
     if cls.is_zero():
         return WitnessResult(cls, False, 0, degenerate=True)
     rule = _rejecting_rule(rules, [cls])
@@ -698,6 +670,13 @@ def jump_experiment(e, trials, seed, avec=(0, 1, 2, 3, 4)):
         raise EngineError("jump experiment needs e >= 5")
     rng = SplitMix64(seed)
     dim0, _ = jump_dimension(e, (0, 0), (0, 0), avec)
+    # at the origin every partial is a multiple of some Z_i^(e-1) or 0, so the
+    # common kernel is spanned by the 1/Z^I with 1 <= I_i <= e-1 and
+    # |I| = 4e: C(e-1, 4) of them, whatever avec
+    if dim0 != comb(e - 1, 4):
+        raise RecheckError(
+            f"dimension {dim0} at the origin is not C({e - 1}, 4) = {comb(e - 1, 4)}"
+        )
     random_dims = []
     params = []
     for _ in range(trials):

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import asdict, dataclass
 
 from . import cech
-from .cech import CohomClass, CohomSpace
+from .cech import CohomSpace
 from .exactalg import QQ, PrimeField, SparseMatrix, SpanReducer, kernel_basis, rank
 from .poly import AffinePoly, HomogPoly, compositions, mi_add
 from .rng import SplitMix64
@@ -256,15 +256,7 @@ def verify_kernel_membership(sys: FermatSystem, I, P: HomogPoly, a: int) -> bool
         raise FermatError(f"twist a={a} leaves no numerator degree")
     if not P.is_zero() and P.degree != maxdeg:
         raise FermatError(f"P must have degree {maxdeg}, got {P.degree}")
-    space = CohomSpace(N, (0,), -a - N * sys.e0)
-    zeroJ = (0,) * (N + 1)
-    coeffs = {}
-    base = tuple(sys.r for _ in range(N + 1))
-    for mono, cP in P.terms.items():
-        I_den = tuple(b - m for b, m in zip(base, mono))
-        if min(I_den) >= 1:
-            coeffs[(zeroJ, I_den)] = cP
-    cls = CohomClass(space, coeffs)
+    cls = cech.residue_class(CohomSpace(N, (0,), -a - N * sys.e0), P, sys.r)
     complement = [j for j in range(1, sys.c + 1) if j not in I]
     for j in complement:
         if not cech.apply_poly(cls, sys.equation(j)).is_zero():

@@ -30,10 +30,10 @@ def mi_sub(a, b):
     return tuple(map(sub, a, b))
 
 
-def compositions(total, parts):
-    """All exponent tuples of the given length summing to total, in grevlex
-    order: ascending in the last coordinate, then in the one before it, and
-    so on."""
+def compositions(total, parts, least=0):
+    """All exponent tuples of the given length summing to total, every entry
+    at least `least`, in grevlex order: ascending in the last coordinate,
+    then in the one before it, and so on."""
     if parts == 0:
         return [()] if total == 0 else []
     if total < 0:
@@ -41,10 +41,10 @@ def compositions(total, parts):
 
     def extend(t):
         # the compositions of t with one more part `last`, outermost
-        return [head + (last,) for last in range(t + 1) for head in by_total[t - last]]
+        return [head + (last,) for last in range(least, t + 1) for head in by_total[t - last]]
 
     # by_total[t]: the compositions of t into the parts placed so far
-    by_total = [[(t,)] for t in range(total + 1)]
+    by_total = [[(t,)] if t >= least else [] for t in range(total + 1)]
     for _ in range(parts - 2):
         by_total = [extend(t) for t in range(total + 1)]
     return extend(total) if parts > 1 else by_total[total]

@@ -16,7 +16,7 @@ from cotci.cech import (
     mul_poly_matrix,
 )
 from cotci.exactalg import QQ, SparseMatrix, rank
-from cotci.poly import HomogPoly, compositions
+from cotci.poly import HomogPoly, compositions, parse_poly
 from cotci.rng import SplitMix64
 from test_poly import random_homog
 
@@ -404,3 +404,33 @@ def test_class_validation():
         CohomClass(space, {((1, 0, 0), (1, 1, 1)): 1})  # wrong denominator weight
     with pytest.raises(ValueError):
         CohomClass(space, {((2, 0, 0), (2, 1, 1)): 1})  # wrong factor weight
+
+
+@pytest.mark.parametrize("degrees", [(0,), (2,), (1, 1), (2, 1)], ids=str)
+def test_residue_class_matches_polynomial_expansion(degrees):
+    # P * prod_f (Z0 dZ1 - Z1 dZ0)^{l_f} multiplied out as a polynomial in
+    # the Z's and one set of dZ's per factor; its term Z^M dZ^{J_1}..dZ^{J_k}
+    # is the class of dZ^{J_1}..dZ^{J_k} / Z^{r - M}, or 0 when an exponent
+    # of r - M is below 1 (Z3^3 and, on a positive factor, Z0^2*Z1 truncate);
+    # only an odd total degree tells the sign (-1)^(l-t) from (-1)^t
+    N, r = 3, 3
+    P = parse_poly("2*Z0^2*Z1 - Z1*Z2*Z3 + 5*Z3^3", nvars=N + 1)
+    n, k = N + 1, len(degrees)
+    nvars = n * (1 + k)
+    expansion = HomogPoly(nvars, {M + (0,) * (n * k): c for M, c in P.terms.items()})
+    z0, z1 = HomogPoly.variable(nvars, 0), HomogPoly.variable(nvars, 1)
+    for f, l in enumerate(degrees):
+        dz0, dz1 = (HomogPoly.variable(nvars, n * (1 + f) + m) for m in (0, 1))
+        for _ in range(l):
+            expansion = expansion * (z0 * dz1 - z1 * dz0)
+    expected, truncated = {}, 0
+    for mono, c in expansion.terms.items():
+        I = tuple(r - m for m in mono[:n])
+        if min(I) < 1:
+            truncated += 1
+            continue
+        Js = tuple(mono[n * (1 + f) : n * (2 + f)] for f in range(k))
+        expected[(*Js, I)] = c
+    space = CohomSpace(N, degrees, 2 * sum(degrees) - n * r + P.degree)
+    assert expected and truncated
+    assert cech.residue_class(space, P, r).coeffs == expected

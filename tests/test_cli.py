@@ -120,6 +120,24 @@ def test_planted_duplicate_vector_never_passes_as_a_dimension(
         assert code == 2 and "verification failed" in capsys.readouterr().err
 
 
+def test_planted_dropped_kernel_vector_fails_the_origin_check(monkeypatch, capsys, tmp_path):
+    # a kernel basis short of its last vector keeps every vector in every
+    # kernel and independent, so the re-check passes it (origin 13, not 15,
+    # at e = 7); the closed form C(e-1, 4) of the origin must catch it
+    real = cli.ci_engine.kernel_basis
+
+    def dropping(matrix):
+        out = real(matrix)
+        del out.vectors[-1:]
+        return out
+
+    monkeypatch.setattr(cli.ci_engine, "kernel_basis", dropping)
+    argv = ["jump", "--e", "7", "--trials", "1", "--seed", "42"]
+    assert cli.main([*argv, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("verification failed: ")
+
+
 def test_curve_reads_polynomial_file(tmp_path):
     pfile = tmp_path / "poly.txt"
     pfile.write_text("Z0 + Z1\n")
@@ -518,7 +536,7 @@ def test_report_matches_golden_digest(tmp_path, argv):
     # that alters any report fails here
     code, rep, err = run_cli(argv, tmp_path / "r.json")
     assert code == 0, err
-    jsonschema.validate(rep, SCHEMA)  # four of them print a basis
+    jsonschema.validate(rep, SCHEMA)  # four print a basis, one a class as rows
     canonical = json.dumps(strip_wall_time(rep), sort_keys=True, separators=(",", ":"))
     expected = next(e["sha256"] for e in GOLDEN["reports"] if e["argv"] == argv)
     assert hashlib.sha256(canonical.encode()).hexdigest() == expected

@@ -231,8 +231,17 @@ def _unordered_compositions(total, parts):
 
 
 @pytest.mark.parametrize(
-    "total, parts", [(t, p) for t in range(7) for p in range(6)] + [(17, 7)]
+    "total, parts, least",
+    [
+        # least 0 (exponents of dZ) keeps the plain "total-parts" ids
+        pytest.param(t, p, least, id=f"{t}-{p}" + (f"-least{least}" if least else ""))
+        for least in (0, 1)
+        for t, p in [(t, p) for t in range(7) for p in range(6)] + [(17, 7)]
+    ],
 )
-def test_compositions_come_in_grevlex_order(total, parts):
-    expected = sorted(_unordered_compositions(total, parts), key=grevlex_key)
-    assert compositions(total, parts) == expected
+def test_compositions_come_in_grevlex_order(total, parts, least):
+    expected = sorted(
+        (c for c in _unordered_compositions(total, parts) if all(v >= least for v in c)),
+        key=grevlex_key,
+    )
+    assert compositions(total, parts, least) == expected
