@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from . import cech, lambdacalc as lam
@@ -93,7 +94,7 @@ def fermat_ci(N, c, e, coeff_rows=None) -> CompleteIntersectionInput:
     """Generic Fermat-type chain; default coefficients are Vandermonde rows."""
     if coeff_rows is None:
         coeff_rows = vandermonde_coeff_rows(N, c)
-    return CompleteIntersectionInput(N, fermat_generic_system(N, c, e, coeff_rows))
+    return CompleteIntersectionInput(N, fermat_generic_system(N, (e,) * c, coeff_rows))
 
 
 @dataclass
@@ -281,28 +282,16 @@ def expected_euler_image_dim(space: CohomSpace) -> int:
     model, via the chained factor-by-factor exhaustion.
 
     Each step trades one untilded factor S^l for the tilde pair
-    (S^l tilde) minus (S^{l-1} tilde); the recursion bottoms out at the
-    product formula `CohomSpace.dim`. Exact binomial arithmetic, no matrices.
+    (S^l tilde) minus (S^{l-1} tilde); unrolled over the factors of positive
+    degree this is inclusion-exclusion over which of them drop by one, each
+    term the product formula `CohomSpace.dim`. Exact binomial arithmetic, no
+    matrices.
     """
-    N = space.ambient_N
-    a = space.twist
-    memo = {}
-
-    def rec(state):
-        if state in memo:
-            return memo[state]
-        for idx, (l, tilde) in enumerate(state):
-            if not tilde and l >= 1:
-                up = state[:idx] + ((l, True),) + state[idx + 1 :]
-                down = state[:idx] + ((l - 1, True),) + state[idx + 1 :]
-                val = rec(up) - rec(down)
-                memo[state] = val
-                return val
-        val = CohomSpace(N, tuple(l for l, _ in state), a).dim()
-        memo[state] = val
-        return val
-
-    return rec(tuple((l, False) for l in space.factor_degrees))
+    N, ls, a = space.ambient_N, space.factor_degrees, space.twist
+    return sum(
+        (-1) ** sum(drop) * CohomSpace(N, tuple(l - d for l, d in zip(ls, drop)), a).dim()
+        for drop in product(*((0, 1) if l else (0,) for l in ls))
+    )
 
 
 def euler_constraints(space: CohomSpace):
@@ -479,55 +468,14 @@ def simplify_and_bound(ci: CompleteIntersectionInput, setting, a: int) -> Simpli
 # numerators, and the two descent identities are checked after clearing them.
 
 
-@dataclass
-class ChartFormTerm:
-    sign: int
-    numerator: object   # AffinePoly
-    denominator: str    # "f1" or "f2"
-    form: str           # "dz1" or "dz2"
-
-    def to_json_dict(self):
-        return {
-            "sign": self.sign,
-            "numerator": self.numerator.to_text(),
-            "denominator": self.denominator,
-            "form": self.form,
-        }
-
-
-@dataclass
-class PlaneCurveDescent:
-    degree: int
-    P: HomogPoly
-    top_cocycle: dict
-    pair_cocycles: dict
-    chart_cocycles: dict
-    chart0_pair: tuple
-    euler_identity: bool
-    descent_top_identity: bool
-    descent_pair_identity: bool
-
-    def to_json_dict(self):
-        return {
-            "degree": self.degree,
-            "P": self.P.to_text(),
-            "top_cocycle": self.top_cocycle,
-            "pair_cocycles": {f"{i}{j}": v for (i, j), v in self.pair_cocycles.items()},
-            "chart_cocycles": {str(i): v for i, v in self.chart_cocycles.items()},
-            "chart0_pair": [t.to_json_dict() for t in self.chart0_pair],
-            "euler_identity": self.euler_identity,
-            "descent_top_identity": self.descent_top_identity,
-            "descent_pair_identity": self.descent_pair_identity,
-        }
-
-
-def plane_curve_descent(F: HomogPoly, P: HomogPoly) -> PlaneCurveDescent:
+def plane_curve_descent(F: HomogPoly, P: HomogPoly) -> dict:
     """Closed-form residue data for a smooth plane curve of degree e >= 3.
 
     Starting from P/(F_0 F_1 F_2) the multiplication and coboundary chase
     produces the edge and vertex cocycles; both descent identities are
     verified symbolically (the second one modulo F) and the chart-0 pair
-    (-Q dz2/f1, Q dz1/f2) is emitted.
+    (-Q dz2/f1, Q dz1/f2) is emitted. Returns the `descent` object of the
+    `curve` report.
     """
     if F.nvars != 3:
         raise EngineError("plane curve descent needs 3 variables")
@@ -548,7 +496,7 @@ def plane_curve_descent(F: HomogPoly, P: HomogPoly) -> PlaneCurveDescent:
     pair_data = {}
     for i, j in ((0, 1), (0, 2), (1, 2)):
         k = 3 - i - j
-        pair_data[(i, j)] = {
+        pair_data[f"{i}{j}"] = {
             "sign": (-1) ** k,
             "numerator": (HomogPoly.variable(3, k) * P).to_text(),
             "scale": "1/" + str(e),
@@ -574,7 +522,7 @@ def plane_curve_descent(F: HomogPoly, P: HomogPoly) -> PlaneCurveDescent:
 
     vertex = {i: vertex_form(i) for i in range(3)}
     chart_data = {
-        i: {
+        str(i): {
             "sign": vertex[i][0],
             "scale": f"1/({e}*F{i})",
             "form": {f"dZ{m}": pol.to_text() for m, pol in vertex[i][1].items()},
@@ -603,22 +551,21 @@ def plane_curve_descent(F: HomogPoly, P: HomogPoly) -> PlaneCurveDescent:
 
     # chart 0: vertex_i dehomogenizes to (-1)^i (Q/(e f_i)) dz_j; emitted with
     # the conventional scaling by e so the pair reads (-Q dz2/f1, Q dz1/f2)
-    Q = P.dehomogenize(0)
-    chart0 = (
-        ChartFormTerm(-1, Q, "f1", "dz2"),
-        ChartFormTerm(1, Q, "f2", "dz1"),
-    )
-    return PlaneCurveDescent(
-        degree=e,
-        P=P,
-        top_cocycle={"numerator": P.to_text(), "denominator": "F0*F1*F2"},
-        pair_cocycles=pair_data,
-        chart_cocycles=chart_data,
-        chart0_pair=chart0,
-        euler_identity=euler_ok,
-        descent_top_identity=top_identity,
-        descent_pair_identity=pair_identity,
-    )
+    Q = P.dehomogenize(0).to_text()
+    return {
+        "degree": e,
+        "P": P.to_text(),
+        "top_cocycle": {"numerator": P.to_text(), "denominator": "F0*F1*F2"},
+        "pair_cocycles": pair_data,
+        "chart_cocycles": chart_data,
+        "chart0_pair": [
+            {"sign": -1, "numerator": Q, "denominator": "f1", "form": "dz2"},
+            {"sign": 1, "numerator": Q, "denominator": "f2", "form": "dz1"},
+        ],
+        "euler_identity": euler_ok,
+        "descent_top_identity": top_identity,
+        "descent_pair_identity": pair_identity,
+    }
 
 
 # ---------------------------------------------------------------------------

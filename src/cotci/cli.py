@@ -22,10 +22,10 @@ from . import cech, ci_engine, fermat as fermat_mod, lambdacalc as lam
 from .cech import BasisCapExceeded
 from .poly import (
     HomogPoly,
+    MinorVanishingError,
     PolyParseError,
     deformed_fermat_pair,
     fermat_generic_system,
-    minors_nonzero,
     parse_poly,
     vandermonde_coeff_rows,
 )
@@ -91,9 +91,9 @@ def _run_curve(cfg: RunConfig):
     genus = (e - 1) * (e - 2) // 2
     # the genus formula holds for a smooth curve, the paper's first check
     ok = (
-        descent.euler_identity
-        and descent.descent_top_identity
-        and descent.descent_pair_identity
+        descent["euler_identity"]
+        and descent["descent_top_identity"]
+        and descent["descent_pair_identity"]
         and ci_engine.verify_result(result)
         and result.dim == genus
     )
@@ -101,7 +101,7 @@ def _run_curve(cfg: RunConfig):
         "F": F.to_text(),
         "dim": result.dim,
         "genus_formula": genus,
-        "descent": descent.to_json_dict(),
+        "descent": descent,
         "verified": ok,
     }
     return payload, ok
@@ -125,18 +125,14 @@ def _build_equations(cfg: RunConfig, N, c, degrees):
     if cfg.params.get("avec") is not None:
         raise UsageError("--avec is read only with --alpha/--beta")
     if seed is None:
-        rows = vandermonde_coeff_rows(N, c)
-    else:
-        rng = SplitMix64(seed)
-        while True:
-            rows = [
-                [Fraction(rng.nonzero_coeff()) for _ in range(N + 1)] for _ in range(c)
-            ]
-            if minors_nonzero(rows, c)[0]:
-                break
-    return [
-        fermat_generic_system(N, 1, d, [rows[j]])[0] for j, d in enumerate(degrees)
-    ]
+        return fermat_generic_system(N, degrees, vandermonde_coeff_rows(N, c))
+    rng = SplitMix64(seed)
+    while True:
+        rows = [[Fraction(rng.nonzero_coeff()) for _ in range(N + 1)] for _ in range(c)]
+        try:
+            return fermat_generic_system(N, degrees, rows)
+        except MinorVanishingError:
+            pass
 
 
 def _run_cohomology(cfg: RunConfig):
@@ -187,10 +183,7 @@ def _run_witness(cfg: RunConfig):
     setting = lam.parse_setting(cfg.params["setting"])
     a = cfg.params.get("a", 0)
     P = _resolve_poly(cfg.params["P"], nvars=setting.ambient_N + 1)
-    try:
-        res = ci_engine.nonvanishing_witness(setting, a, P)
-    except ci_engine.WitnessMembershipError as exc:
-        return {"nonzero": False, "error": str(exc)}, False
+    res = ci_engine.nonvanishing_witness(setting, a, P)
     payload = {
         "setting": setting.serialize(),
         "a": a,
@@ -285,8 +278,8 @@ def _run_baselocus(cfg: RunConfig):
         seed=cfg.params.get("seed", 0),
         chart=cfg.params.get("chart", 0),
     )
-    ok = report.w_vanishing_failures == 0 and report.nonzero_spot_failures == 0
-    return report.to_json_dict(), ok
+    ok = report["w_vanishing"]["failures"] == 0 and report["nonzero_spot"]["failures"] == 0
+    return report, ok
 
 
 def _run_probes(cfg: RunConfig):
@@ -319,7 +312,11 @@ def run(config: RunConfig) -> int:
     except (UsageError, PolyParseError, ValueError, BasisCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ci_engine.EulerCrossCheckError, ci_engine.RecheckError) as exc:
+    except (
+        ci_engine.EulerCrossCheckError,
+        ci_engine.RecheckError,
+        ci_engine.WitnessMembershipError,
+    ) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -19,7 +19,7 @@ polynomial to a weight-0 form, and `letters` appends the dZ exponent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import cech
 from .cech import CohomSpace
@@ -374,32 +374,6 @@ def affine_form(minor: HomogPoly) -> AffinePoly:
 # base-locus scanner
 
 
-@dataclass
-class ScanReport:
-    p: int
-    N: int
-    c: int
-    epsilon: int
-    e: int
-    seed: int
-    chart: int
-    counts: dict
-    candidate_E: list
-    ci_points: int
-    jet_points: int
-    w_vanishing_checked: int
-    w_vanishing_failures: int
-    nonzero_spot_checked: int
-    nonzero_spot_failures: int
-    hypothesis_warning: str = ""
-
-    def to_json_dict(self):
-        out = asdict(self)
-        for key in ("w_vanishing", "nonzero_spot"):
-            out[key] = {"checked": out.pop(f"{key}_checked"), "failures": out.pop(f"{key}_failures")}
-        return out
-
-
 def _projective_points(field, basis_vectors, dim_ambient, limit, rng):
     """Projective points of the span of the basis vectors over F_p: full
     enumeration when small, seeded sample otherwise."""
@@ -485,13 +459,13 @@ def base_locus_scan(
     p: int,
     seed: int,
     chart: int = 0,
-) -> ScanReport:
+) -> dict:
     """Enumerate jet points of the intersection in the chart Z_chart = 1 over
     F_p and classify them by the rank criterion. Points outside the
     tautological vanishing locus W whose forms all vanish are the candidate
     exceptional set, emitted for fixture freezing; nothing about its size is
     asserted. The twist `a` must leave a numerator degree, or no form of that
-    twist exists."""
+    twist exists. Returns the report that `baselocus` prints."""
     if sys.max_p_degree(a) < 0:
         raise FermatError(f"twist a={a} leaves no numerator degree")
     field = PrimeField(p)
@@ -554,24 +528,22 @@ def base_locus_scan(
                     spot_done += 1
                     if not any(structured_nonsingular(B, Bp)):
                         spot_fail += 1
-    return ScanReport(
-        p=p,
-        N=N,
-        c=sys.c,
-        epsilon=sys.epsilon,
-        e=sys.e,
-        seed=seed,
-        chart=chart,
-        counts=counts,
-        candidate_E=candidate,
-        ci_points=ci_points,
-        jet_points=jet_points,
-        w_vanishing_checked=w_checked,
-        w_vanishing_failures=w_fail,
-        nonzero_spot_checked=spot_done,
-        nonzero_spot_failures=spot_fail,
-        hypothesis_warning=warning,
-    )
+    return {
+        "p": p,
+        "N": N,
+        "c": sys.c,
+        "epsilon": sys.epsilon,
+        "e": sys.e,
+        "seed": seed,
+        "chart": chart,
+        "counts": counts,
+        "candidate_E": candidate,
+        "ci_points": ci_points,
+        "jet_points": jet_points,
+        "w_vanishing": {"checked": w_checked, "failures": w_fail},
+        "nonzero_spot": {"checked": spot_done, "failures": spot_fail},
+        "hypothesis_warning": warning,
+    }
 
 
 # ---------------------------------------------------------------------------

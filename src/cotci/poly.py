@@ -424,12 +424,14 @@ class MinorVanishingError(ValueError):
     pass
 
 
-def fermat_generic_system(N, c, e, coeff_rows):
-    """Equations F_p = sum_j a_pj Z_j^e from a c x (N+1) coefficient matrix.
+def fermat_generic_system(N, degrees, coeff_rows):
+    """Equations F_p = sum_j a_pj Z_j^{e_p} from a c x (N+1) coefficient
+    matrix, one degree e_p per row.
 
     All p x p minors of the matrix must be nonzero for 1 <= p <= c; the
     offending minor is reported otherwise.
     """
+    c = len(degrees)
     if len(coeff_rows) != c or any(len(r) != N + 1 for r in coeff_rows):
         raise ValueError(f"coefficient matrix must be {c} x {N + 1}")
     ok, witness = minors_nonzero(coeff_rows, c)
@@ -439,12 +441,12 @@ def fermat_generic_system(N, c, e, coeff_rows):
             f"vanishing {p}x{p} minor at rows {list(ri)}, columns {list(ci)}"
         )
     system = []
-    for p in range(c):
+    for e, row in zip(degrees, coeff_rows):
         terms = {}
         for j in range(N + 1):
-            if coeff_rows[p][j]:
+            if row[j]:
                 mono = tuple(e if m == j else 0 for m in range(N + 1))
-                terms[mono] = coeff_rows[p][j]
+                terms[mono] = row[j]
         system.append(HomogPoly(N + 1, terms, e))
     return system
 

@@ -36,8 +36,7 @@ def diagonal_curve(e):
 
 
 def mixed_degree_ci(N, degrees, rows):
-    eqs = [fermat_generic_system(N, 1, d, [rows[j]])[0] for j, d in enumerate(degrees)]
-    return CompleteIntersectionInput(N, eqs)
+    return CompleteIntersectionInput(N, fermat_generic_system(N, degrees, rows))
 
 
 def test_plane_curve_genus():
@@ -260,16 +259,16 @@ def test_simplify_spec_p4_example():
 
 def test_descent_fermat_quartic():
     d = plane_curve_descent(diagonal_curve(4), parse_poly("Z0", nvars=3))
-    assert d.euler_identity and d.descent_top_identity and d.descent_pair_identity
-    first, second = d.chart0_pair
-    assert (first.sign, first.denominator, first.form) == (-1, "f1", "dz2")
-    assert (second.sign, second.denominator, second.form) == (1, "f2", "dz1")
-    assert first.numerator.to_text() == "1"  # Q = dehomogenization of Z0
+    assert d["euler_identity"] and d["descent_top_identity"] and d["descent_pair_identity"]
+    first, second = d["chart0_pair"]
+    assert (first["sign"], first["denominator"], first["form"]) == (-1, "f1", "dz2")
+    assert (second["sign"], second["denominator"], second["form"]) == (1, "f2", "dz1")
+    assert first["numerator"] == "1"  # Q = dehomogenization of Z0
 
 
 def test_descent_cubic_unique_form():
     d = plane_curve_descent(diagonal_curve(3), constant(HomogPoly, 3, 1))
-    assert d.descent_pair_identity
+    assert d["descent_pair_identity"]
     ci = CompleteIntersectionInput(2, [diagonal_curve(3)])
     res = tilde_cohomology(ci, lam.LambdaSetting(2, (3,), ((), (1,))), 0)
     assert res.dim == 1

@@ -37,6 +37,39 @@ def strip_wall_time(report):
     return out
 
 
+def test_report_schema_is_a_valid_draft_2020_12_schema():
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+
+def test_schema_rejects_malformed_descent_and_scan_counters(tmp_path):
+    # the schema is the one description of these shapes, so each edit below,
+    # which breaks one shape it states, must be refused
+    _, curve, _ = run_cli(["curve", "--e", "4", "--P", "Z0"], tmp_path / "c.json")
+    _, scan, _ = run_cli(
+        ["baselocus", "--N", "3", "--c", "2", "--e", "7", "--prime", "3"], tmp_path / "b.json"
+    )
+    jsonschema.validate(curve, SCHEMA)
+    jsonschema.validate(scan, SCHEMA)
+
+    def broken(report, edit):
+        copy = json.loads(json.dumps(report))
+        edit(copy["result"])
+        return copy
+
+    bad = [
+        broken(curve, lambda r: r["descent"]["chart0_pair"][0].update(sign=0)),
+        broken(curve, lambda r: r["descent"]["chart0_pair"][1].update(numerator=1)),
+        broken(curve, lambda r: r["descent"].update(chart0_pair=r["descent"]["chart0_pair"] * 2)),
+        broken(curve, lambda r: r["descent"].update(descent_pair_identity="true")),
+        broken(scan, lambda r: r["w_vanishing"].update(failures=-1)),
+        broken(scan, lambda r: r["nonzero_spot"].pop("checked")),
+        broken(scan, lambda r: r.pop("hypothesis_warning")),
+    ]
+    for report in bad:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, SCHEMA)
+
+
 def test_curve_command(tmp_path):
     code, rep, _ = run_cli(["curve", "--e", "4", "--P", "Z0"], tmp_path / "r.json")
     assert code == 0
@@ -54,7 +87,9 @@ def test_curve_off_the_genus_formula_exits_2(tmp_path, capsys):
     # call its answer verified
     out = tmp_path / "r.json"
     assert cli.main(["curve", "--e", "4", "--P", "Z0", "--F", "Z0^4", "--out", str(out)]) == 2
-    result = json.loads(out.read_text())["result"]
+    rep = json.loads(out.read_text())
+    jsonschema.validate(rep, SCHEMA)
+    result = rep["result"]
     assert (result["dim"], result["genus_formula"], result["verified"]) == (15, 3, False)
     assert capsys.readouterr().err.splitlines() == ["verification failed"]
 
@@ -488,19 +523,24 @@ def test_verification_failure_exits_2(monkeypatch, capsys, tmp_path):
     assert cli.run(cfg) == 2
 
 
-def test_witness_membership_failure_exits_2(monkeypatch, tmp_path):
+def test_witness_membership_failure_exits_2(monkeypatch, capsys, tmp_path):
+    # as with the Euler cross-check: one line on stderr and no report, since
+    # a failed witness has no report the schema admits
     import cotci.ci_engine as eng
 
     def boom(setting, a, P, coeff_rows=None):
         raise eng.WitnessMembershipError("forced failure")
 
     monkeypatch.setattr(eng, "nonvanishing_witness", boom)
+    out = tmp_path / "r.json"
     cfg = cli.RunConfig(
         command="witness",
         params={"setting": "(N=4; e=5,5; L0=; L1=; L2=2)", "a": 0, "P": "1"},
-        out=str(tmp_path / "r.json"),
+        out=str(out),
     )
     assert cli.run(cfg) == 2
+    assert capsys.readouterr().err.splitlines() == ["verification failed: forced failure"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

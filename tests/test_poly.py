@@ -118,20 +118,20 @@ def test_dehomogenize_multiplicative():
 
 
 def test_fermat_generic_system_quartic():
-    (f,) = fermat_generic_system(2, 1, 4, [[1, 1, 1]])
+    (f,) = fermat_generic_system(2, (4,), [[1, 1, 1]])
     assert f.terms == {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}
 
 
 def test_fermat_generic_system_vandermonde():
     rows = [[1, 1, 1, 1, 1], [1, 2, 4, 8, 16]]
-    sys_ = fermat_generic_system(4, 2, 5, rows)
+    sys_ = fermat_generic_system(4, (5, 5), rows)
     assert [f.degree for f in sys_] == [5, 5]
     assert minors_nonzero(rows, 2)[0]
 
 
 def test_fermat_generic_system_proportional_rows():
     with pytest.raises(MinorVanishingError):
-        fermat_generic_system(2, 2, 3, [[1, 2, 3], [2, 4, 6]])
+        fermat_generic_system(2, (3, 3), [[1, 2, 3], [2, 4, 6]])
 
 
 def test_vandermonde_rows_all_minors():
