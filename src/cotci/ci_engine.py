@@ -51,17 +51,10 @@ class NonSimpleSettingError(EngineError):
     pass
 
 
-class EulerCrossCheckError(RuntimeError):
-    """The factor-by-factor Euler image disagreed with the chained exhaustion."""
-
-
-class WitnessMembershipError(RuntimeError):
-    """A constructed witness failed an exact kernel membership it must satisfy."""
-
-
-class RecheckError(RuntimeError):
-    """A computed kernel basis has a nonzero image under a rule that cut it
-    out, or its vectors are linearly dependent."""
+class VerificationError(RuntimeError):
+    """An exact self-check of the engine's own computation failed: a kernel
+    basis or witness with a nonzero image under a rule it must satisfy,
+    dependent basis vectors, or a dimension off its closed form."""
 
 
 @dataclass
@@ -136,8 +129,9 @@ def _rejecting_rule(rules, classes):
     return next((r for r in rules for cls in classes if not r.act(cls).is_zero()), None)
 
 
-def _recheck(rules, space: CohomSpace, basis: SubspaceBasis):
-    """Why the integer `basis` of `space` fails its re-check, or None.
+def _recheck(rules, space: CohomSpace, basis: SubspaceBasis, name):
+    """Raise VerificationError, its reason led by `name`, unless the integer
+    `basis` of `space` passes its re-check.
 
     Membership: every rule's forward action sends every basis vector, read
     as a class, to 0; no matrix is built or read, so a fault in the matrices
@@ -149,16 +143,16 @@ def _recheck(rules, space: CohomSpace, basis: SubspaceBasis):
     classes = [CohomClass(space, {elements[i]: c for i, c in v.items()}) for v in vectors]
     rule = _rejecting_rule(rules, classes)
     if rule is not None:
-        return f"has nonzero image under {rule.kind} {rule.label}"
+        raise VerificationError(f"{name} has nonzero image under {rule.kind} {rule.label}")
     if len(rref_vectors(PrimeField(_SPAN_PRIME), n, vectors)) < len(vectors):
         if len(rref_vectors(QQ, n, vectors)) < len(vectors):
-            return "has linearly dependent vectors"
-    return None
+            raise VerificationError(f"{name} has linearly dependent vectors")
 
 
-def verify_result(result: CohomologyResult) -> bool:
+def verify_result(result: CohomologyResult):
     """Independent re-check of a result's basis by `_recheck`."""
-    return _recheck(result.constraints, result.ambient_space, result.subspace) is None
+    space = result.ambient_space
+    _recheck(result.constraints, space, result.subspace, f"kernel basis of {space}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +302,7 @@ def euler_image(space: CohomSpace) -> SubspaceBasis:
     the per-factor contraction kernels, as a primitive integer basis.
 
     Its vector count is always cross-checked against the chained exhaustion;
-    a mismatch raises EulerCrossCheckError rather than returning silently.
+    a mismatch raises VerificationError rather than returning silently.
     """
     if any(l < 1 for l in space.factor_degrees):
         raise EngineError("euler_image needs every factor degree >= 1")
@@ -316,7 +310,7 @@ def euler_image(space: CohomSpace) -> SubspaceBasis:
     basis, _ = intersect_constraint_kernels(maps)
     expected = expected_euler_image_dim(space)
     if basis.dim != expected:
-        raise EulerCrossCheckError(
+        raise VerificationError(
             f"contraction-kernel intersection has dim {basis.dim} but the "
             f"chained exhaustion gives {expected} on {space}"
         )
@@ -410,7 +404,7 @@ def nonvanishing_witness(setting, a: int, P: HomogPoly, coeff_rows=None) -> Witn
         return WitnessResult(cls, False, 0, degenerate=True)
     rule = _rejecting_rule(rules, [cls])
     if rule is not None:
-        raise WitnessMembershipError(
+        raise VerificationError(
             f"witness has nonzero image under {rule.kind} {rule.label}; "
             "this indicates an implementation bug"
         )
@@ -583,17 +577,14 @@ def _pair_partial_constraints(space, F, G):
 def jump_dimension(e, alpha, beta, avec=(0, 1, 2, 3, 4)):
     """dim of the common kernel of all ten partial-multiplication maps on
     H^4(P^4, O(-4e)) for the deformed pair at (alpha, beta). The kernel basis
-    is re-checked as in `verify_result`; a failure raises RecheckError."""
+    is re-checked as in `verify_result`."""
     F, G = deformed_fermat_pair(e, alpha, beta, avec)
     space = CohomSpace(4, (), -4 * e)
     maps = _pair_partial_constraints(space, F, G)
     basis, cert = intersect_constraint_kernels(maps)
-    reason = _recheck([cm.rule for cm in maps], space, basis)
-    if reason is not None:
-        raise RecheckError(
-            f"kernel basis at alpha=({', '.join(map(str, alpha))}), "
-            f"beta=({', '.join(map(str, beta))}) {reason}"
-        )
+    _recheck([cm.rule for cm in maps], space, basis,
+             f"kernel basis at alpha=({', '.join(map(str, alpha))}), "
+             f"beta=({', '.join(map(str, beta))})")
     return basis.dim, cert
 
 
@@ -621,7 +612,7 @@ def jump_experiment(e, trials, seed, avec=(0, 1, 2, 3, 4)):
     # common kernel is spanned by the 1/Z^I with 1 <= I_i <= e-1 and
     # |I| = 4e: C(e-1, 4) of them, whatever avec
     if dim0 != comb(e - 1, 4):
-        raise RecheckError(
+        raise VerificationError(
             f"dimension {dim0} at the origin is not C({e - 1}, 4) = {comb(e - 1, 4)}"
         )
     random_dims = []

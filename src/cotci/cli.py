@@ -2,8 +2,9 @@
 
 One command per process; every run is deterministic given its parameters and
 seed and emits a JSON report with a fixed header. Exit codes: 0 success,
-1 usage or validation error, 2 verification failure (an assertion-style check
-in the requested computation came back false).
+1 usage or validation error, 2 verification failure: a statement checked on
+this input is false (the report shows it), or a self-check of the computation
+failed (one `verification failed:` line, no report).
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ def _fraction_pair(text, flag):
 
 
 # ---------------------------------------------------------------------------
-# command bodies: return (payload, verified_ok)
+# command bodies: return (payload, verified_ok); verified_ok is False only
+# where a statement checked on this input is false, and the report shows it.
+# A failed self-check of the computation raises ci_engine.VerificationError.
 
 
 def _run_curve(cfg: RunConfig):
@@ -88,13 +91,13 @@ def _run_curve(cfg: RunConfig):
     ci = ci_engine.CompleteIntersectionInput(2, [F])
     setting = lam.LambdaSetting(2, (e,), ((), (1,)))
     result = ci_engine.tilde_cohomology(ci, setting, 0)
+    ci_engine.verify_result(result)
     genus = (e - 1) * (e - 2) // 2
     # the genus formula holds for a smooth curve, the paper's first check
     ok = (
         descent["euler_identity"]
         and descent["descent_top_identity"]
         and descent["descent_pair_identity"]
-        and ci_engine.verify_result(result)
         and result.dim == genus
     )
     payload = {
@@ -138,6 +141,8 @@ def _build_equations(cfg: RunConfig, N, c, degrees):
 def _run_cohomology(cfg: RunConfig):
     N = cfg.params["N"]
     c = cfg.params["c"]
+    if not 1 <= c <= N - 1:  # before --e is read against it
+        raise UsageError(f"codimension {c} out of range for N={N}")
     degrees = cfg.params["e"]
     if len(degrees) == 1:
         degrees = degrees * c
@@ -147,36 +152,33 @@ def _run_cohomology(cfg: RunConfig):
     ci = ci_engine.CompleteIntersectionInput(N, eqs)
     a = cfg.params.get("a", 0)
     setting_text = cfg.params.get("setting")
+    ells = cfg.params.get("ell")
     if setting_text:
         setting = lam.parse_setting(setting_text)
+        keys = {"mode": "tilde", "setting": setting.serialize()}
         if setting.is_simple():
             result = ci_engine.tilde_cohomology(ci, setting, a)
-            payload = result.to_json_dict(include_basis=cfg.include_basis)
-            payload["mode"] = "tilde"
-            payload["setting"] = setting.serialize()
-            return payload, ci_engine.verify_result(result)
-        bound = ci_engine.simplify_and_bound(ci, setting, a)
-        payload = bound.result.to_json_dict(include_basis=cfg.include_basis)
-        payload["mode"] = "tilde-lower-bound"
-        payload["setting"] = setting.serialize()
-        payload["simplified_setting"] = bound.setting.serialize()
-        return payload, ci_engine.verify_result(bound.result)
-    ells = cfg.params.get("ell")
-    if not ells:
+        else:
+            bound = ci_engine.simplify_and_bound(ci, setting, a)
+            result = bound.result
+            keys["mode"] = "tilde-lower-bound"
+            keys["simplified_setting"] = bound.setting.serialize()
+    elif not ells:
         raise UsageError("--ell (or --setting) is required")
-    mode = "tilde" if cfg.params.get("tilde") else "omega"
-    if mode == "omega":
-        result = ci_engine.omega_cohomology(ci, tuple(ells), a)
     else:
-        setting = lam.LambdaSetting(
-            N, tuple(degrees), tuple(() for _ in range(c)) + (tuple(ells),)
-        )
-        result = ci_engine.tilde_cohomology(ci, setting, a)
+        mode = "tilde" if cfg.params.get("tilde") else "omega"
+        if mode == "omega":
+            result = ci_engine.omega_cohomology(ci, tuple(ells), a)
+        else:
+            setting = lam.LambdaSetting(
+                N, tuple(degrees), tuple(() for _ in range(c)) + (tuple(ells),)
+            )
+            result = ci_engine.tilde_cohomology(ci, setting, a)
+        keys = {"mode": mode, "ell": list(ells), "equations": [f.to_text() for f in eqs]}
+    ci_engine.verify_result(result)
     payload = result.to_json_dict(include_basis=cfg.include_basis)
-    payload["mode"] = mode
-    payload["ell"] = list(ells)
-    payload["equations"] = [f.to_text() for f in eqs]
-    return payload, ci_engine.verify_result(result)
+    payload.update(keys)
+    return payload, True
 
 
 def _run_witness(cfg: RunConfig):
@@ -193,7 +195,7 @@ def _run_witness(cfg: RunConfig):
         "constraints_checked": res.constraints_checked,
         "class": res.cls.to_rows() if cfg.include_basis else res.cls.to_text(),
     }
-    return payload, res.nonzero or res.degenerate
+    return payload, True
 
 
 def _trials(cfg: RunConfig, default):
@@ -210,7 +212,6 @@ def _run_jump(cfg: RunConfig):
         cfg.params.get("seed", 0),
         avec=tuple(cfg.params.get("avec") or (0, 1, 2, 3, 4)),
     )
-    # a kernel basis that fails its re-check raises RecheckError (exit 2)
     return report, True
 
 
@@ -312,11 +313,7 @@ def run(config: RunConfig) -> int:
     except (UsageError, PolyParseError, ValueError, BasisCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        ci_engine.EulerCrossCheckError,
-        ci_engine.RecheckError,
-        ci_engine.WitnessMembershipError,
-    ) as exc:
+    except ci_engine.VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -13,7 +13,7 @@ from cotci import lambdacalc as lam
 from cotci.cech import CohomSpace, euler_contraction_matrix
 from cotci.ci_engine import (
     CompleteIntersectionInput,
-    EulerCrossCheckError,
+    VerificationError,
     euler_image,
     expected_euler_image_dim,
     jump_dimension,
@@ -216,7 +216,7 @@ def test_criterion_08_multifactor_euler_cross_check():
         detail = "intersection == chained exhaustion at " + ", ".join(
             f"(N={n}, a={t}: {d})" for n, t, d, _ in results
         )
-    except EulerCrossCheckError as exc:
+    except VerificationError as exc:
         ok = False
         detail = f"FINDING (multi-factor Euler image open question): {exc}"
     elapsed = time.time() - start

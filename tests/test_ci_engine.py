@@ -10,7 +10,7 @@ from cotci.ci_engine import (
     CompleteIntersectionInput,
     EngineError,
     NonSimpleSettingError,
-    WitnessMembershipError,
+    VerificationError,
     euler_constraints,
     euler_image,
     expected_euler_image_dim,
@@ -46,14 +46,14 @@ def test_plane_curve_genus():
         res = tilde_cohomology(ci, setting, 0)
         assert res.dim == (e - 1) * (e - 2) // 2
         assert res.q == 0
-        assert verify_result(res)
+        verify_result(res)  # returns without raising
 
 
 def test_verify_result_rejects_vector_outside_a_kernel():
     ci = CompleteIntersectionInput(2, [diagonal_curve(4)])
     setting = lam.LambdaSetting(2, (4,), ((), (1,)))
     res = tilde_cohomology(ci, setting, 0)
-    assert verify_result(res)
+    verify_result(res)  # returns without raising
     *others, last = res.constraints
     space = res.ambient_space
     elements = cech.basis_enumerate(space)
@@ -70,7 +70,11 @@ def test_verify_result_rejects_vector_outside_a_kernel():
     bad = dict(good[0])
     bad[j] = bad.get(j, 0) + 1
     broken = replace(res, subspace=SubspaceBasis(res.subspace.field, n, good[1:] + [bad]))
-    assert not verify_result(broken)
+    with pytest.raises(VerificationError) as exc:
+        verify_result(broken)
+    assert str(exc.value) == (
+        f"kernel basis of {space} has nonzero image under {last.kind} {last.label}"
+    )
 
 
 def test_recheck_proves_independence_over_qq_when_the_prime_drops_the_rank():
@@ -79,9 +83,10 @@ def test_recheck_proves_independence_over_qq_when_the_prime_drops_the_rank():
     independent = SubspaceBasis(QQ, space.dim(), [{0: 1}, {1: P}])
     # mod P the second vector is 0, so the mod-P rank alone proves nothing
     assert len(rref_vectors(PrimeField(P), space.dim(), independent.vectors)) == 1
-    assert ci_engine._recheck([], space, independent) is None
+    ci_engine._recheck([], space, independent, "basis")  # returns without raising
     dependent = SubspaceBasis(QQ, space.dim(), [{0: 1, 1: 2}, {0: -3, 1: -6}])
-    assert ci_engine._recheck([], space, dependent) == "has linearly dependent vectors"
+    with pytest.raises(VerificationError, match="^basis has linearly dependent vectors$"):
+        ci_engine._recheck([], space, dependent, "basis")
 
 
 def test_verify_result_checks_rules_without_building_matrices(monkeypatch):
@@ -96,10 +101,11 @@ def test_verify_result_checks_rules_without_building_matrices(monkeypatch):
 
     monkeypatch.setattr(cech.MapRule, "assemble", no_matrix)
     monkeypatch.setattr(ci_engine, "apply_to_basis", no_matrix)
-    assert verify_result(res)
+    verify_result(res)  # returns without raising
     # an action that keeps the class makes the first rule reject the basis
     monkeypatch.setattr(cech.MapRule, "act", lambda rule, cls: cls)
-    assert not verify_result(res)
+    with pytest.raises(VerificationError, match=r"has nonzero image under mulF \*\("):
+        verify_result(res)
 
 
 def test_result_json_shape():
@@ -423,7 +429,7 @@ def test_witness_checks_rules_without_building_matrices(monkeypatch):
     assert res.nonzero and res.constraints_checked == 4
     # an action that keeps the class makes the first constraint reject it
     monkeypatch.setattr(cech.MapRule, "act", lambda rule, cls: cls)
-    with pytest.raises(WitnessMembershipError, match=r"under mulF \*\("):
+    with pytest.raises(VerificationError, match=r"under mulF \*\("):
         nonvanishing_witness(setting, 0, constant(HomogPoly, 5, 1))
 
 
@@ -444,7 +450,7 @@ def test_engine_and_recheck_read_one_cap(monkeypatch):
     monkeypatch.setenv("COTCI_CAP", "84")
     result = tilde_cohomology(ci, setting, 0)
     assert (result.ambient_space.dim(), result.dim) == (84, 44)
-    assert verify_result(result)
+    verify_result(result)  # returns without raising
     monkeypatch.setenv("COTCI_CAP", "83")
     with pytest.raises(BasisCapExceeded, match="^basis size 84 exceeds cap 83$"):
         verify_result(result)

@@ -501,7 +501,7 @@ def test_out_of_memory_exits_1_with_one_error_line(tmp_path):
 def test_euler_cross_check_failure_exits_2(monkeypatch, capsys, tmp_path):
     # two positive-degree limit factors, so omega runs the Euler cross-check
     def mismatch(space):
-        raise cli.ci_engine.EulerCrossCheckError("forced mismatch")
+        raise cli.ci_engine.VerificationError("forced mismatch")
 
     monkeypatch.setattr(cli.ci_engine, "euler_image", mismatch)
     out = tmp_path / "r.json"
@@ -529,7 +529,7 @@ def test_witness_membership_failure_exits_2(monkeypatch, capsys, tmp_path):
     import cotci.ci_engine as eng
 
     def boom(setting, a, P, coeff_rows=None):
-        raise eng.WitnessMembershipError("forced failure")
+        raise eng.VerificationError("forced failure")
 
     monkeypatch.setattr(eng, "nonvanishing_witness", boom)
     out = tmp_path / "r.json"
@@ -543,25 +543,89 @@ def test_witness_membership_failure_exits_2(monkeypatch, capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        {"N": 2, "c": 1, "e": [4], "setting": "(N=2; e=4; L0=; L1=1)"},
-        {"N": 3, "c": 2, "e": [2, 3], "setting": "(N=3; e=2,3; L0=; L1=; L2=1)"},
-        {"N": 2, "c": 1, "e": [4], "ell": [2]},
-    ],
-    ids=["tilde", "tilde-lower-bound", "omega"],
-)
-def test_cohomology_recheck_failure_exits_2(monkeypatch, tmp_path, params):
-    # each cohomology branch reports the exact re-check of its result as its
-    # verification status, and still writes the report when it fails
-    monkeypatch.setattr(cli.ci_engine, "verify_result", lambda result: False)
+def _first_rule_rejects(monkeypatch):
+    # the membership test names a rule that rejects nothing
+    monkeypatch.setattr(cli.ci_engine, "_rejecting_rule", lambda rules, classes: rules[0])
+
+
+def _euler_off_by_one(monkeypatch):
+    real = cli.ci_engine.expected_euler_image_dim
+    monkeypatch.setattr(cli.ci_engine, "expected_euler_image_dim", lambda space: real(space) + 1)
+
+
+def _origin_off_by_one(monkeypatch):
+    monkeypatch.setattr(cli.ci_engine, "comb", lambda n, k: 2)
+
+
+FERMAT4 = "mulF *(Z0^4 + Z1^4 + Z2^4)"
+JUMP = ["jump", "--e", "5", "--trials", "1", "--seed", "42"]
+SELF_CHECKS = {
+    "cohomology-tilde": (
+        ["cohomology", "--N", "2", "--c", "1", "--e", "4", "--setting", "(N=2; e=4; L0=; L1=1)"],
+        _first_rule_rejects,
+        f"kernel basis of H^2(Omega~^(0)(-8)) has nonzero image under {FERMAT4}",
+    ),
+    "cohomology-tilde-lower-bound": (
+        ["cohomology", "--N", "3", "--c", "2", "--e", "2,3",
+         "--setting", "(N=3; e=2,3; L0=; L1=; L2=1)"],
+        _first_rule_rejects,
+        "kernel basis of H^3(Omega~^(0)(-7)) has nonzero image under "
+        "mulF *(Z0^2 + Z1^2 + Z2^2 + Z3^2)",
+    ),
+    "cohomology-omega": (
+        ["cohomology", "--N", "4", "--c", "1", "--e", "6", "--ell", "2,1"],
+        _first_rule_rejects,
+        "kernel basis of H^4(Omega~^(1,0)(-18)) has nonzero image under "
+        "mulF *(Z0^6 + Z1^6 + Z2^6 + Z3^6 + Z4^6)",
+    ),
+    "curve": (
+        ["curve", "--e", "4", "--P", "Z0"],
+        _first_rule_rejects,
+        f"kernel basis of H^2(Omega~^(0)(-8)) has nonzero image under {FERMAT4}",
+    ),
+    "jump": (
+        JUMP,
+        _first_rule_rejects,
+        "kernel basis at alpha=(0, 0), beta=(0, 0) has nonzero image under mulF *(5*Z0^4)",
+    ),
+    "jump-origin": (JUMP, _origin_off_by_one, "dimension 1 at the origin is not C(4, 4) = 2"),
+    "euler-cross-check": (
+        # two positive-degree limit factors, so omega runs the cross-check
+        ["cohomology", "--N", "3", "--c", "1", "--e", "3", "--ell", "2,2", "--a", "1"],
+        _euler_off_by_one,
+        "contraction-kernel intersection has dim 931 but the chained exhaustion "
+        "gives 932 on H^3(Omega~^(1,1)(-8))",
+    ),
+    "witness-membership": (
+        ["witness", "--setting", "(N=4; e=5,5; L0=; L1=; L2=2)", "--P", "1"],
+        _first_rule_rejects,
+        "witness has nonzero image under mulF *(Z0^5 + Z1^5 + Z2^5 + Z3^5 + Z4^5); "
+        "this indicates an implementation bug",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, plant, reason", SELF_CHECKS.values(), ids=SELF_CHECKS)
+def test_failed_self_check_exits_2_with_its_reason_and_no_report(
+    argv, plant, reason, monkeypatch, capsys, tmp_path
+):
+    # every self-check of the computation fails one way: exit 2, one line
+    # that gives the reason, and no report
+    plant(monkeypatch)
     out = tmp_path / "r.json"
-    cfg = cli.RunConfig(command="cohomology", params=params, out=str(out))
-    assert cli.run(cfg) == 2
-    report = json.loads(out.read_text())
-    jsonschema.validate(report, SCHEMA)
-    assert report["result"]["dim"] >= 0
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"verification failed: {reason}"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("c", [0, -1, 4])
+def test_codimension_out_of_range_exits_1(c, capsys, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["cohomology", "--N", "4", "--c", str(c), "--e", "5", "--ell", "2", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: codimension {c} out of range for N=4"]
+    assert not out.exists()
 
 
 with open(os.path.join(REPO, "tests", "fixtures", "golden_reports.json"), encoding="utf-8") as fh:
