@@ -20,6 +20,7 @@ validated by the plane-curve identities in the test suite.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,9 +166,10 @@ class _Shift(NamedTuple):
 
 
 def _shift_table(source: CohomSpace, target: CohomSpace, shift: _Shift):
-    """Sparsity pattern of one shift from `source` to `target`: the (row, col)
-    keys of the source elements whose image is not the zero class, in column
-    order (rows increase too), and their multiplicities (None when all are 1).
+    """Sparsity pattern of one shift from `source` to `target`: the rows and
+    the columns of the source elements whose image is not the zero class, as
+    two `array('q')` columns in column order (rows increase too), and their
+    multiplicities (None when all are 1).
 
     Built from the product structure of the bases and pulled back from the
     target. `basis_enumerate` puts J_1 outermost, then ... J_k, then I, so an
@@ -182,7 +184,7 @@ def _shift_table(source: CohomSpace, target: CohomSpace, shift: _Shift):
 
     Cached for the command run with the bases, without the coefficient, so
     every map that contains the shift (the equations of one system share
-    their monomials) reuses one list of key tuples.
+    their monomials) reuses one pair of arrays.
     """
     key = ("shift", source, target, shift)
     table = _basis_cache.get(key)
@@ -220,12 +222,13 @@ def _shift_table(source: CohomSpace, target: CohomSpace, shift: _Shift):
         ]
     else:
         combos = [(c, c, 1) for c in range(prod(sizes))]
-    keys, mults = [], [] if step < 0 else None
+    rows, cols, mults = array("q"), array("q"), [] if step < 0 else None
     for tc, sc, w in combos:
-        keys += zip(range(tc * nt, tc * nt + nt), map((sc * ns).__add__, imap))
+        rows.extend(range(tc * nt, tc * nt + nt))
+        cols.extend(map((sc * ns).__add__, imap))
         if mults is not None:
             mults += repeat(w, nt)
-    table = (keys, mults)
+    table = (rows, cols, mults)
     _basis_cache[key] = table
     return table
 
@@ -268,12 +271,16 @@ class MapRule:
         # checked here too: a cached table or a map with no shifts reads no basis
         check_cap(self.source)
         check_cap(self.target)
-        # one shift at a time: no result depends on the order of the entries
-        entries = {}
+        # one shift after another: no two shifts share a key, so the columns
+        # hold each key once
+        rows, cols, vals = array("q"), array("q"), []
         for c, shift in self.shifts:
-            keys, mults = _shift_table(self.source, self.target, shift)
-            entries.update(zip(keys, repeat(c) if mults is None else [c * w for w in mults]))
-        return CohomMap(self, SparseMatrix._adopt(QQ, self.target.dim(), self.source.dim(), entries))
+            srows, scols, mults = _shift_table(self.source, self.target, shift)
+            rows += srows
+            cols += scols
+            vals += repeat(c, len(srows)) if mults is None else [c * w for w in mults]
+        matrix = SparseMatrix._adopt(QQ, self.target.dim(), self.source.dim(), rows, cols, vals)
+        return CohomMap(self, matrix)
 
     def act(self, cls: "CohomClass") -> "CohomClass":
         terms = self.terms

@@ -8,6 +8,10 @@ the cohomology computations downstream. F_p is used for finite-field scanning,
 for fast cross-checks and to propose span-membership coefficients that an
 exact integer identity then proves.
 
+A sparse matrix is stored as coordinate arrays in entry order: its row and
+column indices as two `array('q')` columns and its values as a list, so a
+stored entry costs 24 bytes and no key tuple or dict slot.
+
 All elimination (echelon form, back-reduction, span membership, rank) goes
 through one sparse row update, `_clear`, which clears one column of a row
 with a pivot row, in place. Its invariants:
@@ -28,8 +32,10 @@ canonical reduced form of `rref_vectors` creates Fractions.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd, isqrt
 
 
@@ -128,68 +134,76 @@ def _check_same_field(a, b):
 class SparseMatrix:
     """Immutable-by-convention sparse matrix; absent entries are zero.
 
-    The constructor normalizes every entry into the field, drops zeros and
-    rejects a key outside the shape. `_adopt` takes an entries dict as it is,
-    with none of that; its only callers are `cech.MapRule.assemble` and
-    `apply_to_basis`, whose entries are by construction nonzero field
-    elements at keys inside the shape (over Q ints or Fractions, over F_p
-    residues in [0, p)). Adopting the dict keeps its key tuples, which the
-    cech shift tables share between matrices.
+    The entries are three parallel columns in entry order: `rows` and `cols`
+    as `array('q')`, 8 bytes an index, and the values `vals` as a list. No
+    (row, col) pair appears twice, every value is a nonzero field element
+    (over Q an int or a Fraction, over F_p a residue in [0, p)), and every
+    pair is inside the shape.
+
+    The constructor takes an entries dict {(row, col): value} and makes it
+    so: it normalizes every value, so an integral rational is an int, drops
+    zeros, rejects a key outside the shape and keeps the dict's order.
+    `from_rows` does the same for dense rows. `_adopt` is the one trusted
+    constructor.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    __slots__ = ("field", "nrows", "ncols", "rows", "cols", "vals")
 
     def __init__(self, field, nrows: int, ncols: int, entries=None):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = {}
+        self.rows, self.cols, self.vals = array("q"), array("q"), []
         if entries:
             for (r, c), v in entries.items():
                 v = field.normalize(v)
                 if v != 0:
                     if not (0 <= r < nrows and 0 <= c < ncols):
                         raise DimensionError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                    self.entries[(r, c)] = v
+                    self.rows.append(r)
+                    self.cols.append(c)
+                    self.vals.append(v)
 
     @classmethod
-    def _adopt(cls, field, nrows: int, ncols: int, entries: dict):
-        """The matrix with this entries dict itself: no copy and no checks."""
+    def _adopt(cls, field, nrows: int, ncols: int, rows, cols, vals):
+        """The matrix with these columns themselves: no copy and no checks.
+        Its callers, `cech.MapRule.assemble`, `apply_to_basis` and
+        `from_rows`, keep the invariant by construction."""
         matrix = cls.__new__(cls)
         matrix.field = field
         matrix.nrows = nrows
         matrix.ncols = ncols
-        matrix.entries = entries
+        matrix.rows = rows
+        matrix.cols = cols
+        matrix.vals = vals
         return matrix
 
     @classmethod
     def from_rows(cls, field, rows):
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
-        ent = {}
+        normalize = field.normalize
+        rs, cs, vals = array("q"), array("q"), []
         for r, row in enumerate(rows):
             if len(row) != ncols:
                 raise DimensionError("ragged rows")
             for c, v in enumerate(row):
                 if v:
-                    ent[(r, c)] = v
-        return cls(field, nrows, ncols, ent)
+                    v = normalize(v)
+                    if v != 0:
+                        rs.append(r)
+                        cs.append(c)
+                        vals.append(v)
+        return cls._adopt(field, nrows, ncols, rs, cs, vals)
 
     def row_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
+        for r, c, v in zip(self.rows, self.cols, self.vals):
             rows[r][c] = v
         return rows
 
-    def col_lists(self):
-        """Column index {c: [(r, v), ...]} over the nonzero columns, O(nnz)."""
-        cols = {}
-        for (r, c), v in self.entries.items():
-            cols.setdefault(c, []).append((r, v))
-        return cols
-
     def nnz(self):
-        return len(self.entries)
+        return len(self.vals)
 
     def __repr__(self):
         return f"SparseMatrix({self.field!r}, {self.nrows}x{self.ncols}, nnz={self.nnz()})"
@@ -346,22 +360,22 @@ def kernel_basis(matrix: SparseMatrix) -> SubspaceBasis:
     nor the reduced numerator w_rf/gcd(w_rf, l_r) at that pivot.
 
     A one-entry row in column c puts e_c in the row space (stored entries
-    are nonzero): c is a pivot column with reduced row e_c, and every kernel
-    vector is 0 there. Such rows are settled in one pass over the entries,
-    the singleton step of structured Gaussian elimination; only the other
-    rows, without the settled columns, go through `_eliminate`, and a row
-    left empty is dependent. The cost is linear in nnz for the one-entry
-    rows, plus the elimination of the rest and one walk over its reduced
-    pivot rows (two over Q, the first for the scales L_f), which hold their
-    pivot column and free columns only.
+    are nonzero, and no key is stored twice): c is a pivot column with
+    reduced row e_c, and every kernel vector is 0 there. Such rows are
+    settled in one pass over the entries, the singleton step of structured
+    Gaussian elimination; only the other rows, without the settled columns,
+    go through `_eliminate`, and a row left empty is dependent. The cost is
+    linear in nnz for the one-entry rows, plus the elimination of the rest
+    and one walk over its reduced pivot rows (two over Q, the first for the
+    scales L_f), which hold their pivot column and free columns only.
     """
     # per row: its one column, -1 when it has none, -2 when it has several
     single = [-1] * matrix.nrows
-    for r, c in matrix.entries:
+    for r, c in zip(matrix.rows, matrix.cols):
         single[r] = c if single[r] == -1 else -2
     settled = {c for c in single if c >= 0}
     rest = {}
-    for (r, c), v in matrix.entries.items():
+    for r, c, v in zip(matrix.rows, matrix.cols, matrix.vals):
         if single[r] == -2 and c not in settled:
             rest.setdefault(r, {})[c] = v
     rows = [_field_row(matrix.field, rest[r]) for r in sorted(rest)]
@@ -404,14 +418,19 @@ def rref_vectors(field, ambient_dim, vectors) -> list:
 def apply_to_basis(matrix: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
     """Matrix whose columns are M b_j for the basis vectors b_j.
 
-    The way to apply one matrix to many vectors: the column index is built
-    once, in O(nnz), and each product touches only its vector's columns."""
+    The way to apply one matrix to many vectors: one pass over the entries
+    indexes the columns that the vectors touch, and each product reads only
+    its vector's columns."""
     _check_same_field(matrix.field, basis.field)
     if matrix.ncols != basis.ambient_dim:
         raise DimensionError("matrix/basis dimension mismatch")
-    cols = matrix.col_lists()
+    touched = set().union(*basis.vectors)
+    cols = {}
+    entries = zip(matrix.rows, matrix.cols, matrix.vals)
+    for r, c, v in compress(entries, map(touched.__contains__, matrix.cols)):
+        cols.setdefault(c, []).append((r, v))
     p = matrix.field.p
-    ent = {}
+    rows, out_cols, vals = array("q"), array("q"), []
     for j, vec in enumerate(basis.vectors):
         img = {}
         for c, x in vec.items():
@@ -425,9 +444,11 @@ def apply_to_basis(matrix: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
                     img.pop(r, None)
         if p:
             img = {r: v % p for r, v in img.items() if v % p}
-        for r, v in img.items():
-            ent[(r, j)] = v
-    return SparseMatrix._adopt(matrix.field, matrix.nrows, basis.dim, ent)
+        if img:
+            rows.extend(img)
+            out_cols.extend(repeat(j, len(img)))
+            vals.extend(img.values())
+    return SparseMatrix._adopt(matrix.field, matrix.nrows, basis.dim, rows, out_cols, vals)
 
 
 def combine_basis(basis: SubspaceBasis, coeffs: SubspaceBasis) -> SubspaceBasis:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,10 @@ from cotci.cech import (
     mul_dpoly_matrix,
     mul_poly_matrix,
 )
-from cotci.exactalg import QQ, SparseMatrix, rank
+from cotci.exactalg import QQ, SparseMatrix, SubspaceBasis, apply_to_basis, rank
 from cotci.poly import HomogPoly, compositions, parse_poly
 from cotci.rng import SplitMix64
+from test_exactalg import entries
 from test_poly import random_homog
 
 
@@ -29,7 +31,7 @@ def apply_contraction(cls, factor):
 def mul_vec(matrix, vec):
     """matrix times one sparse column vector over Q, entry by entry."""
     out = {}
-    for (r, c), v in matrix.entries.items():
+    for r, c, v in zip(matrix.rows, matrix.cols, matrix.vals):
         if c in vec:
             out[r] = out.get(r, 0) + v * vec[c]
     return {r: v for r, v in out.items() if v}
@@ -115,11 +117,13 @@ def assert_matrix_matches_class_action(cm, act):
     space = cm.rule.source
     idx = cech.basis_index(space)
     tgt = cech.basis_index(cm.rule.target)
-    cols = cm.matrix.col_lists()
+    cols = {}
+    for (r, c), v in entries(cm.matrix).items():
+        cols.setdefault(c, {})[r] = v
     for el in basis_enumerate(space):
         out = act(CohomClass(space, {el: 1}))
         assert out.space == cm.rule.target
-        assert dict(cols.get(idx[el], ())) == {tgt[e]: c for e, c in out.coeffs.items()}
+        assert cols.get(idx[el], {}) == {tgt[e]: c for e, c in out.coeffs.items()}
 
 
 def test_mul_matrix_matches_class_application():
@@ -151,7 +155,7 @@ def test_dpoly_matrix_of_a_degree_0_factor_has_one_entry_per_row():
     f = HomogPoly(4, {tuple(5 if j == i else 0 for j in range(4)): i + 2 for i in range(4)})
     for space, factor in ((CohomSpace(3, (0,), -9), 1), (CohomSpace(3, (2, 0), -8), 2)):
         m = mul_dpoly_matrix(space, f, factor).matrix
-        rows = [r for r, _ in m.entries]
+        rows = list(m.rows)
         assert m.nnz() > 0 and len(set(rows)) == len(rows)
 
 
@@ -216,22 +220,55 @@ def test_shift_tables_increase_in_row_and_column():
         euler_contraction_matrix(space, factor)
     tables = [v for k, v in cech._basis_cache.items() if isinstance(k, tuple) and k[0] == "shift"]
     assert len(tables) > 50
-    for keys, mults in tables:
-        for a, b in zip(keys, keys[1:]):
-            assert a[0] < b[0] and a[1] < b[1]
-        assert mults is None or len(mults) == len(keys)
+    for rows, cols, mults in tables:
+        assert len(rows) == len(cols)
+        for a, b in zip(rows, rows[1:]):
+            assert a < b
+        for a, b in zip(cols, cols[1:]):
+            assert a < b
+        assert mults is None or len(mults) == len(rows)
 
 
 def test_rule_built_matrices_pass_the_checked_constructor_unchanged():
-    # the invariant `SparseMatrix._adopt` relies on: normalized nonzero values
-    # at in-range keys, so the checked constructor changes nothing, not even
-    # a value's type or the entry order
+    # the invariant `SparseMatrix._adopt` relies on: no key twice,
+    # normalized nonzero values at in-range keys, so the checked constructor
+    # changes nothing, not even a value's type or the entry order
+    def listed(m):
+        return [(r, c, v, type(v)) for r, c, v in zip(m.rows, m.cols, m.vals)]
+
     for cm, _ in _rule_built_maps():
         m = cm.matrix
-        checked = SparseMatrix(QQ, m.nrows, m.ncols, m.entries)
-        assert [(k, v, type(v)) for k, v in checked.entries.items()] == [
-            (k, v, type(v)) for k, v in m.entries.items()
-        ]
+        assert len(set(zip(m.rows, m.cols))) == m.nnz()
+        checked = SparseMatrix(QQ, m.nrows, m.ncols, entries(m))
+        assert listed(checked) == listed(m)
+        # a restriction holds each key once too; an integral value of it
+        # may stay a Fraction, which `_field_row` reads as its integer
+        vectors = [{c: 1 + c % 3 for c in range(j, m.ncols, 5)} for j in range(3)]
+        restricted = apply_to_basis(m, SubspaceBasis(QQ, m.ncols, vectors))
+        assert restricted.nnz() > 0
+        assert len(set(zip(restricted.rows, restricted.cols))) == restricted.nnz()
+
+
+def test_assembly_keeps_at_most_48_bytes_per_entry():
+    # a stored entry is a row, a column and a value reference in the matrix
+    # (24 bytes) and a row and a column in its shift table (16 bytes); a
+    # key tuple and a dict slot per entry take about 170 bytes
+    space = CohomSpace(4, (1,), -20)
+    rule = cech.mul_dpoly_rule(space, fermat(5, 4), 1)
+    cech._basis_cache.clear()
+    rule.assemble()  # enumerates and indexes the denominator bases
+    for key in [k for k in cech._basis_cache if isinstance(k, tuple) and k[0] == "shift"]:
+        del cech._basis_cache[key]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cm = rule.assemble()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        cech._basis_cache.clear()
+    assert cm.matrix.nnz() == 59500
+    assert kept <= 48 * cm.matrix.nnz()
 
 
 def test_shift_tables_carry_no_coefficient():
@@ -248,14 +285,14 @@ def test_shift_tables_carry_no_coefficient():
     for name, build in builders.items():
         for h in (f, g):
             cech._basis_cache.clear()
-            fresh[name, h] = build(h).matrix.entries
+            fresh[name, h] = entries(build(h).matrix)
         assert fresh[name, f] != fresh[name, g]
     for order in ((f, g), (g, f)):
         cech._basis_cache.clear()
         for name, build in builders.items():
             tables = []
             for h in order:
-                assert build(h).matrix.entries == fresh[name, h]
+                assert entries(build(h).matrix) == fresh[name, h]
                 tables.append(
                     {k for k in cech._basis_cache if isinstance(k, tuple) and k[0] == "shift"}
                 )
@@ -270,10 +307,10 @@ def test_euler_formula_matrix_identity():
     acc = {}
     for i in range(3):
         zi_fi = HomogPoly.variable(3, i) * F.partial_derivative(i)
-        for key, v in mul_poly_matrix(space, zi_fi).matrix.entries.items():
+        for key, v in entries(mul_poly_matrix(space, zi_fi).matrix).items():
             acc[key] = acc.get(key, 0) + Fraction(v, 4)
     acc = {k: v for k, v in acc.items() if v}
-    assert acc == {k: Fraction(v) for k, v in lhs.entries.items()}
+    assert acc == {k: Fraction(v) for k, v in entries(lhs).items()}
 
 
 def test_mul_dpoly_single_rules():
@@ -321,7 +358,7 @@ def test_contraction_rules():
     cm = euler_contraction_matrix(space3, 1)
     col = cech.basis_index(space3)[((2, 1, 0), (2, 2, 1))]
     row = cech.basis_index(cm.rule.target)[((1, 1, 0), (1, 2, 1))]
-    assert cm.matrix.entries[(row, col)] == 2
+    assert entries(cm.matrix)[(row, col)] == 2
 
 
 def test_contraction_surjective_rank():

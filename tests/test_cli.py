@@ -104,14 +104,14 @@ def test_curve_off_the_genus_formula_exits_2(tmp_path, capsys):
     ids=["cohomology", "curve", "jump"],
 )
 def test_planted_table_fault_fails_the_recheck(argv, monkeypatch, capsys, tmp_path):
-    # shift tables that drop their last key change every answer (48 instead
-    # of 44 for the cohomology); the re-check by the rules' forward action
-    # reads no table, so each command must exit 2
+    # shift tables that drop their last entry change every answer (48
+    # instead of 44 for the cohomology); the re-check by the rules' forward
+    # action reads no table, so each command must exit 2
     real = cech._shift_table
 
     def dropping(*args):
-        keys, mults = real(*args)
-        return keys[:-1], None if mults is None else mults[:-1]
+        rows, cols, mults = real(*args)
+        return rows[:-1], cols[:-1], None if mults is None else mults[:-1]
 
     monkeypatch.setattr(cech, "_shift_table", dropping)
     monkeypatch.setattr(cech, "_basis_cache", {})
