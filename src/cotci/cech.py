@@ -279,7 +279,7 @@ class MapRule:
             rows += srows
             cols += scols
             vals += repeat(c, len(srows)) if mults is None else [c * w for w in mults]
-        matrix = SparseMatrix._adopt(QQ, self.target.dim(), self.source.dim(), rows, cols, vals)
+        matrix = SparseMatrix(QQ, self.target.dim(), self.source.dim(), rows, cols, vals)
         return CohomMap(self, matrix)
 
     def act(self, cls: "CohomClass") -> "CohomClass":

@@ -83,11 +83,10 @@ class CompleteIntersectionInput:
         return tuple(f.degree for f in self.equations)
 
 
-def fermat_ci(N, c, e, coeff_rows=None) -> CompleteIntersectionInput:
-    """Generic Fermat-type chain; default coefficients are Vandermonde rows."""
-    if coeff_rows is None:
-        coeff_rows = vandermonde_coeff_rows(N, c)
-    return CompleteIntersectionInput(N, fermat_generic_system(N, (e,) * c, coeff_rows))
+def fermat_ci(N, c, e) -> CompleteIntersectionInput:
+    """Generic Fermat-type chain with Vandermonde coefficient rows."""
+    rows = vandermonde_coeff_rows(N, c)
+    return CompleteIntersectionInput(N, fermat_generic_system(N, (e,) * c, rows))
 
 
 @dataclass
@@ -364,7 +363,7 @@ class WitnessResult:
     degenerate: bool = False
 
 
-def nonvanishing_witness(setting, a: int, P: HomogPoly, coeff_rows=None) -> WitnessResult:
+def nonvanishing_witness(setting, a: int, P: HomogPoly) -> WitnessResult:
     """Expand the explicit residue witness for a Fermat-generic chain and
     verify its exact membership in every constraint kernel.
 
@@ -390,7 +389,7 @@ def nonvanishing_witness(setting, a: int, P: HomogPoly, coeff_rows=None) -> Witn
     expected_deg = (q + 1) * e + a - N - 1 - 2 * lim_total
     if not P.is_zero() and P.degree != expected_deg:
         raise EngineError(f"P must have degree {expected_deg}, got {P.degree}")
-    ci = fermat_ci(N, setting.codim, e, coeff_rows)
+    ci = fermat_ci(N, setting.codim, e)
     space, multipliers = _tilde_multipliers(ci, setting, a)
     rules = [
         cech.mul_poly_rule(space, f) if factor is None else cech.mul_dpoly_rule(space, f, factor)
@@ -420,10 +419,6 @@ class SimplifiedBound:
     setting: object
     chain: list
     result: CohomologyResult
-
-    @property
-    def lower_bound(self):
-        return self.result.dim
 
 
 def simplify_and_bound(ci: CompleteIntersectionInput, setting, a: int) -> SimplifiedBound:

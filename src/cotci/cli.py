@@ -148,11 +148,15 @@ def _run_cohomology(cfg: RunConfig):
         degrees = degrees * c
     if len(degrees) != c:
         raise UsageError(f"--e wants 1 or {c} degrees")
+    setting_text = cfg.params.get("setting")
+    ells = cfg.params.get("ell")
+    if setting_text and ells:
+        raise UsageError("--ell is not read with --setting: the setting gives the exponents")
+    if setting_text and cfg.params.get("tilde"):
+        raise UsageError("--tilde is not read with --setting: a setting is always tilde")
     eqs = _build_equations(cfg, N, c, degrees)
     ci = ci_engine.CompleteIntersectionInput(N, eqs)
     a = cfg.params.get("a", 0)
-    setting_text = cfg.params.get("setting")
-    ells = cfg.params.get("ell")
     if setting_text:
         setting = lam.parse_setting(setting_text)
         keys = {"mode": "tilde", "setting": setting.serialize()}
@@ -383,7 +387,7 @@ def _build_parser():
     p.add_argument("--e", required=True, help="degree, or comma list of c degrees")
     p.add_argument("--ell", help="comma list of symmetric powers")
     p.add_argument("--a", type=int, default=0)
-    p.add_argument("--setting", help="explicit setting, overrides --ell")
+    p.add_argument("--setting", help="explicit tilde setting, instead of --ell and --tilde")
     p.add_argument("--tilde", action="store_true", help="tilde variant only")
     p.add_argument("--alpha", help="deformation pair alpha1,alpha2")
     p.add_argument("--beta", help="deformation pair beta1,beta2")

@@ -140,43 +140,22 @@ class SparseMatrix:
     (over Q an int or a Fraction, over F_p a residue in [0, p)), and every
     pair is inside the shape.
 
-    The constructor takes an entries dict {(row, col): value} and makes it
-    so: it normalizes every value, so an integral rational is an int, drops
-    zeros, rejects a key outside the shape and keeps the dict's order.
-    `from_rows` does the same for dense rows. `_adopt` is the one trusted
-    constructor.
+    The constructor takes the three columns themselves, with no copy and no
+    checks; its callers, `cech.MapRule.assemble`, `apply_to_basis` and
+    `from_rows`, keep the invariant by construction. `from_rows` is the
+    checked constructor: it normalizes every value of its dense rows, so an
+    integral rational is an int, and drops zeros.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "cols", "vals")
 
-    def __init__(self, field, nrows: int, ncols: int, entries=None):
+    def __init__(self, field, nrows: int, ncols: int, rows, cols, vals):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.rows, self.cols, self.vals = array("q"), array("q"), []
-        if entries:
-            for (r, c), v in entries.items():
-                v = field.normalize(v)
-                if v != 0:
-                    if not (0 <= r < nrows and 0 <= c < ncols):
-                        raise DimensionError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                    self.rows.append(r)
-                    self.cols.append(c)
-                    self.vals.append(v)
-
-    @classmethod
-    def _adopt(cls, field, nrows: int, ncols: int, rows, cols, vals):
-        """The matrix with these columns themselves: no copy and no checks.
-        Its callers, `cech.MapRule.assemble`, `apply_to_basis` and
-        `from_rows`, keep the invariant by construction."""
-        matrix = cls.__new__(cls)
-        matrix.field = field
-        matrix.nrows = nrows
-        matrix.ncols = ncols
-        matrix.rows = rows
-        matrix.cols = cols
-        matrix.vals = vals
-        return matrix
+        self.rows = rows
+        self.cols = cols
+        self.vals = vals
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -194,7 +173,7 @@ class SparseMatrix:
                         rs.append(r)
                         cs.append(c)
                         vals.append(v)
-        return cls._adopt(field, nrows, ncols, rs, cs, vals)
+        return cls(field, nrows, ncols, rs, cs, vals)
 
     def row_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
@@ -448,7 +427,7 @@ def apply_to_basis(matrix: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
             rows.extend(img)
             out_cols.extend(repeat(j, len(img)))
             vals.extend(img.values())
-    return SparseMatrix._adopt(matrix.field, matrix.nrows, basis.dim, rows, out_cols, vals)
+    return SparseMatrix(matrix.field, matrix.nrows, basis.dim, rows, out_cols, vals)
 
 
 def combine_basis(basis: SubspaceBasis, coeffs: SubspaceBasis) -> SubspaceBasis:
@@ -500,34 +479,31 @@ def _reconstruct(u: int, p: int, bound: int):
 
 
 class SpanReducer:
-    """Echelonize a fixed generating set once, then test membership of many
-    query vectors against the span by reduction. Exact over Q or F_p.
+    """Echelonize a fixed generating set over Q once, then test membership of
+    many query vectors against the span by reduction.
 
-    Over Q a query is first reduced mod the prime _SPAN_PRIME, against monic
-    copies of the echelon rows R_k. The multipliers of that reduction are
-    lifted to rationals x_k, and the query is a member if the exact integer
-    identity D*query = sum_k (D x_k) R_k holds, D the lcm of the
-    denominators. F_p only proposes the coefficients; the identity proves
-    them. When any step fails, the rational reduction runs as it would
-    without this path, so `reduce` returns the same residual either way."""
+    A query is first reduced mod the prime _SPAN_PRIME, against monic copies
+    of the echelon rows R_k. The multipliers of that reduction are lifted to
+    rationals x_k, and the query is a member if the exact integer identity
+    D*query = sum_k (D x_k) R_k holds, D the lcm of the denominators. F_p
+    only proposes the coefficients; the identity proves them. When any step
+    fails, the rational reduction runs as it would without this path, so
+    `reduce` returns the same residual either way."""
 
-    def __init__(self, field, ncols, generators):
-        self.field = field
-        self.ncols = ncols
-        self._rows = [_field_row(field, g) for g in generators]
-        self._pivots = _eliminate(self._rows, ncols, field, reduce=False)
-        if not field.p:
-            # per pivot: the inverse of its lead and the monic row mod P, or
-            # None when P divides the lead
-            P = _SPAN_PRIME
-            self._modp = []
-            for col, r in self._pivots:
-                row = self._rows[r]
-                if row[col] % P:
-                    inv = pow(row[col], -1, P)
-                    self._modp.append((inv, {c: v * inv % P for c, v in row.items()}))
-                else:
-                    self._modp.append(None)
+    def __init__(self, ncols, generators):
+        self._rows = [_field_row(QQ, g) for g in generators]
+        self._pivots = _eliminate(self._rows, ncols, QQ, reduce=False)
+        # per pivot: the inverse of its lead and the monic row mod P, or None
+        # when P divides the lead
+        P = _SPAN_PRIME
+        self._modp = []
+        for col, r in self._pivots:
+            row = self._rows[r]
+            if row[col] % P:
+                inv = pow(row[col], -1, P)
+                self._modp.append((inv, {c: v * inv % P for c, v in row.items()}))
+            else:
+                self._modp.append(None)
 
     def _certified_member(self, cur: dict) -> bool:
         """Whether the integer row cur is proven to lie in the span over Q.
@@ -561,13 +537,12 @@ class SpanReducer:
 
     def reduce(self, vec: dict) -> dict:
         """Residual of vec after reduction against the echelon rows."""
-        p = self.field.p
-        cur = _field_row(self.field, vec)
-        if not p and cur and self._certified_member(cur):
+        cur = _field_row(QQ, vec)
+        if cur and self._certified_member(cur):
             return {}
         for col, r in self._pivots:
             if col in cur:
-                _clear(cur, col, self._rows[r], p)
+                _clear(cur, col, self._rows[r], 0)
         return cur
 
     def contains(self, vec: dict) -> bool:

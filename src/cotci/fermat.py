@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import cech
 from .cech import CohomSpace
-from .exactalg import QQ, PrimeField, SparseMatrix, SpanReducer, kernel_basis, rank
+from .exactalg import PrimeField, SparseMatrix, SpanReducer, kernel_basis, rank
 from .poly import AffinePoly, HomogPoly, compositions, mi_add
 from .rng import SplitMix64
 
@@ -193,12 +193,12 @@ def letter_grid(sys: FermatSystem, chart=0):
     ]
 
 
-def build_B(grid, z, field=QQ):
+def build_B(grid, z, field):
     """c x N matrix b_i(t_i^j, z) = z_i t_i^j(z) at the jet base point."""
     return [[b.evaluate(z, field) for b, _ in row] for row in grid]
 
 
-def build_Bprime(grid, z, xi, field=QQ):
+def build_Bprime(grid, z, xi, field):
     """c x N matrix beta_i(t_i^j, z, xi) = z_i dt(xi) + e t(z) xi_i."""
     if all(x == 0 for x in xi):
         raise FermatError("jet direction xi must be nonzero")
@@ -317,7 +317,7 @@ class GlueReducer:
                         column(mi_add(m, mono), exp): cf
                         for exp, terms in parts for m, cf in terms.items()
                     })
-        self._reducer = SpanReducer(QQ, len(index), generators)
+        self._reducer = SpanReducer(len(index), generators)
 
     def contains(self, form: HomogPoly) -> bool:
         vec = {}

@@ -1,15 +1,17 @@
-"""Bookkeeping calculus for the intersection-chain settings.
+"""Intersection-chain settings and the part of their calculus the engine reads.
 
 A setting records, for a chain of hypersurface slices X_1 ⊇ ... ⊇ X_p inside
 P^N cut by degrees e_1..e_p, which symmetric powers of which step's (tilde)
 cotangent sheaf are tensored together: level j carries the tuple lambda^j of
 symmetric-power exponents attached to X_j (level 0 to the ambient space).
-A pair is an (untilded, tilde) couple of settings over the same chain.
 
-The module is pure combinatorics: invariants (q, i, t, ...), the two
-short-exact-sequence successors s1/s2, the exponent-moving successors h1/h2
-and c1/c2, the limit setting and its accumulated twist, and the sufficient
-vanishing predicate. Everything is immutable and hashable.
+The module is pure combinatorics: a setting's invariants (q, t, ...), its
+text form and parser, the simplification step c1/c2 of a non-simple
+setting, and the limit setting with its accumulated twist. Everything is
+immutable and hashable. The rest of the paper's calculus (pairs, the
+successors s1/s2 and h1/h2, the vanishing predicate) is run by no command;
+tests/pair_calculus.py keeps it as the reference the limit setting and
+twist are checked against.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
-
-
-def _is_zero_tuple(t) -> bool:
-    return all(v == 0 for v in t)
 
 
 def _nz(t) -> int:
@@ -68,14 +66,8 @@ class LambdaSetting:
             min(j, v) for j in range(1, self.codim + 1) for v in self.tuples[j]
         )
 
-    def w_value(self) -> int:
-        return sum(j * _nz(self.tuples[j]) for j in range(1, self.codim + 1))
-
     def q(self) -> int:
         return self.dim - self.n_value()
-
-    def i_counter(self) -> int:
-        return self.codim + self.w_value()
 
     def t_bound(self) -> int:
         return self.total() - self.nz()
@@ -123,227 +115,6 @@ def parse_setting(text: str) -> LambdaSetting:
     return LambdaSetting(N, degs, tuple(tuples))
 
 
-@dataclass(frozen=True)
-class LambdaPair:
-    left: LambdaSetting   # untilded side
-    right: LambdaSetting  # tilde side
-
-    def __post_init__(self):
-        if self.left.ambient_N != self.right.ambient_N:
-            raise ValueError("ambient mismatch in pair")
-        if self.left.degrees != self.right.degrees:
-            raise ValueError("pair sides must share the degree chain")
-
-    @property
-    def codim(self):
-        return self.left.codim
-
-    @property
-    def dim(self):
-        return self.left.dim
-
-    def is_simple(self):
-        return self.left.is_simple() and self.right.is_simple()
-
-    def q(self):
-        return self.dim - self.left.n_value() - self.right.n_value()
-
-    def i_counter(self):
-        return self.codim + self.left.w_value() + self.right.w_value()
-
-    def t_bound(self):
-        # only the untilded side's nonzero count is subtracted
-        return self.left.total() + self.right.total() - self.left.nz()
-
-    def serialize(self):
-        return self.left.serialize() + " ~ " + self.right.serialize()
-
-
-def invariants(setting: LambdaSetting) -> dict:
-    """All the integer invariants of a setting in one record."""
-    return {
-        "q": setting.q(),
-        "i": setting.i_counter(),
-        "t": setting.t_bound(),
-        "total": setting.total(),
-        "nz": setting.nz(),
-        "w": setting.w_value(),
-        "nfun": setting.n_value(),
-    }
-
-
-# ---------------------------------------------------------------------------
-# degree selectors
-
-
-def deg_of(setting: LambdaSetting) -> int:
-    """Degree consumed by one successor step: e_{j0} for the lowest active
-    level, e_p when all levels above 0 are zero."""
-    p = setting.codim
-    if p < 1:
-        raise ValueError("degree undefined at codimension 0")
-    for j in range(1, p + 1):
-        if not _is_zero_tuple(setting.tuples[j]):
-            return setting.degrees[j - 1]
-    return setting.degrees[p - 1]
-
-
-def deg_of_pair(pair: LambdaPair) -> int:
-    p = pair.codim
-    if p < 1:
-        raise ValueError("degree undefined at codimension 0")
-    for j in range(1, p + 1):
-        if not _is_zero_tuple(pair.left.tuples[j]) or not _is_zero_tuple(
-            pair.right.tuples[j]
-        ):
-            return pair.left.degrees[j - 1]
-    return pair.left.degrees[p - 1]
-
-
-# ---------------------------------------------------------------------------
-# s-successors (restriction / conormal exact sequences)
-
-
-class SuccessorStep(NamedTuple):
-    s1: object
-    s2: object
-    tag: str      # restriction | tilde-conormal | conormal
-    degree: int   # twist consumed by the s2 slot
-
-
-def _split_tuples(tuples, j0, i0, decrement):
-    """Move entry i0 of level j0 down one level, per the successor recipe.
-
-    Levels 1..j0-2 are zeroed (they are all-zero already), the moved entry
-    lands at level j0-1 (merged into level 0 when j0 = 1), the remainder of
-    level j0 stays at level j0.
-    """
-    lam = tuples[j0]
-    val = lam[i0] - (1 if decrement else 0)
-    tail = lam[i0 + 1 :]
-    new = list(tuples)
-    if j0 == 1:
-        new[0] = tuples[0] + (val,)
-    else:
-        for m in range(1, j0 - 1):
-            new[m] = ()
-        new[j0 - 1] = (val,)
-    new[j0] = tail
-    return tuple(new)
-
-
-def s_step(setting: LambdaSetting) -> SuccessorStep:
-    p = setting.codim
-    if p < 1:
-        raise ValueError("successors need codimension >= 1")
-    degree = deg_of(setting)
-    j0 = None
-    for j in range(1, p + 1):
-        if not _is_zero_tuple(setting.tuples[j]):
-            j0 = j
-            break
-    if j0 is None:
-        dropped = LambdaSetting(
-            setting.ambient_N, setting.degrees[:-1], setting.tuples[:-1]
-        )
-        return SuccessorStep(dropped, dropped, "restriction", degree)
-    i0 = next(i for i, v in enumerate(setting.tuples[j0]) if v != 0)
-    one = LambdaSetting(
-        setting.ambient_N, setting.degrees, _split_tuples(setting.tuples, j0, i0, False)
-    )
-    two = LambdaSetting(
-        setting.ambient_N, setting.degrees, _split_tuples(setting.tuples, j0, i0, True)
-    )
-    return SuccessorStep(one, two, "tilde-conormal", degree)
-
-
-def s1(setting: LambdaSetting) -> LambdaSetting:
-    return s_step(setting).s1
-
-
-def s2(setting: LambdaSetting) -> LambdaSetting:
-    return s_step(setting).s2
-
-
-def s_step_pair(pair: LambdaPair) -> SuccessorStep:
-    p = pair.codim
-    if p < 1:
-        raise ValueError("successors need codimension >= 1")
-    degree = deg_of_pair(pair)
-    j0 = None
-    for j in range(1, p + 1):
-        if not _is_zero_tuple(pair.left.tuples[j]) or not _is_zero_tuple(
-            pair.right.tuples[j]
-        ):
-            j0 = j
-            break
-    if j0 is None:
-        step_l = s_step(pair.left)
-        step_r = s_step(pair.right)
-        dropped = LambdaPair(step_l.s2, step_r.s2)
-        return SuccessorStep(dropped, dropped, "restriction", degree)
-    if not _is_zero_tuple(pair.right.tuples[j0]):
-        step = s_step(pair.right)
-        return SuccessorStep(
-            LambdaPair(pair.left, step.s1),
-            LambdaPair(pair.left, step.s2),
-            "tilde-conormal",
-            degree,
-        )
-    step = s_step(pair.left)
-    return SuccessorStep(
-        LambdaPair(step.s1, pair.right),
-        LambdaPair(step.s2, pair.right),
-        "conormal",
-        degree,
-    )
-
-
-# ---------------------------------------------------------------------------
-# h-successors (Euler exact sequence on the leading untilded exponent)
-
-
-class EulerStep(NamedTuple):
-    h1: LambdaPair
-    h2: LambdaPair
-    tag: str
-    level: int
-    moved: int  # the exponent moved across
-
-
-def h_step(pair: LambdaPair) -> EulerStep:
-    if not pair.is_simple():
-        raise ValueError("h-successors need a simple pair")
-    if pair.left.nz() == 0:
-        raise ValueError("left side has no nonzero exponent to move")
-    left, right = pair.left, pair.right
-    j0 = next(
-        j for j in range(left.codim + 1) if not _is_zero_tuple(left.tuples[j])
-    )
-    i0 = next(i for i, v in enumerate(left.tuples[j0]) if v != 0)
-    val = left.tuples[j0][i0]
-    new_left = list(left.tuples)
-    for m in range(j0):
-        new_left[m] = ()
-    new_left[j0] = left.tuples[j0][i0 + 1 :]
-    moved_left = LambdaSetting(left.ambient_N, left.degrees, tuple(new_left))
-    r1 = list(right.tuples)
-    r1[j0] = right.tuples[j0] + (val,)
-    r2 = list(right.tuples)
-    r2[j0] = right.tuples[j0] + (val - 1,)
-    one = LambdaPair(moved_left, LambdaSetting(right.ambient_N, right.degrees, tuple(r1)))
-    two = LambdaPair(moved_left, LambdaSetting(right.ambient_N, right.degrees, tuple(r2)))
-    return EulerStep(one, two, "euler", j0, val)
-
-
-def h1(pair: LambdaPair) -> LambdaPair:
-    return h_step(pair).h1
-
-
-def h2(pair: LambdaPair) -> LambdaPair:
-    return h_step(pair).h2
-
-
 # ---------------------------------------------------------------------------
 # c-successors (simplification of non-simple settings)
 
@@ -384,27 +155,6 @@ def c_step(setting: LambdaSetting) -> SimplifyStep:
     return SimplifyStep(one, two, setting.degrees[j0 - 1])
 
 
-def c1(setting: LambdaSetting) -> LambdaSetting:
-    return c_step(setting).c1
-
-
-def c2(setting: LambdaSetting) -> LambdaSetting:
-    step = c_step(setting)
-    if step.c2 is None:
-        raise ValueError("c2 needs the offending entry to be >= 1")
-    return step.c2
-
-
-def simplify_chain(setting: LambdaSetting):
-    """Iterate c1 to a simple setting; q is preserved at every step."""
-    chain = [setting]
-    current = setting
-    while not current.is_simple():
-        current = c_step(current).c1
-        chain.append(current)
-    return chain
-
-
 # ---------------------------------------------------------------------------
 # limit setting and accumulated twist
 
@@ -429,59 +179,3 @@ def b_sigma(setting: LambdaSetting) -> int:
         setting.degrees[i - 1] * (1 + sum(m[j] for j in range(i, p + 1)))
         for i in range(1, p + 1)
     )
-
-
-# ---------------------------------------------------------------------------
-# vanishing predicate
-
-
-def vanishing_predicate(pair: LambdaPair, j: int, a: int) -> bool:
-    """True when the sufficient vanishing hypotheses hold (group is zero);
-    False carries no information."""
-    return j < pair.q() and a < pair.t_bound()
-
-
-# ---------------------------------------------------------------------------
-# seeded random generators for the property suites
-
-
-def random_setting(rng, max_N=6, max_codim=4, max_len=3, max_entry=6) -> LambdaSetting:
-    N = rng.randint(2, max_N)
-    p = rng.randint(0, min(max_codim, N - 1))
-    degrees = tuple(rng.randint(1, 7) for _ in range(p))
-    tuples = []
-    for _ in range(p + 1):
-        m = rng.randint(0, max_len)
-        tuples.append(tuple(rng.randint(0, max_entry) for _ in range(m)))
-    return LambdaSetting(N, degrees, tuple(tuples))
-
-
-def random_simple_setting(rng, max_N=6, max_codim=4, max_len=3, extra=4) -> LambdaSetting:
-    N = rng.randint(2, max_N)
-    p = rng.randint(1, min(max_codim, N - 1))
-    degrees = tuple(rng.randint(1, 7) for _ in range(p))
-    tuples = []
-    for j in range(p + 1):
-        m = rng.randint(0, max_len)
-        tuples.append(tuple(rng.randint(j, j + extra) for _ in range(m)))
-    return LambdaSetting(N, degrees, tuple(tuples))
-
-
-def random_pair(rng, **kw) -> LambdaPair:
-    left = random_setting(rng, **kw)
-    right_tuples = []
-    for j in range(left.codim + 1):
-        m = rng.randint(0, 3)
-        right_tuples.append(tuple(rng.randint(0, 6) for _ in range(m)))
-    right = LambdaSetting(left.ambient_N, left.degrees, tuple(right_tuples))
-    return LambdaPair(left, right)
-
-
-def random_simple_pair(rng, **kw) -> LambdaPair:
-    left = random_simple_setting(rng, **kw)
-    right_tuples = []
-    for j in range(left.codim + 1):
-        m = rng.randint(0, 3)
-        right_tuples.append(tuple(rng.randint(j, j + 4) for _ in range(m)))
-    right = LambdaSetting(left.ambient_N, left.degrees, tuple(right_tuples))
-    return LambdaPair(left, right)

@@ -233,10 +233,6 @@ class AffinePoly(_PolyBase):
 
     __slots__ = ()
 
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {})
-
     def __add__(self, other):
         return AffinePoly(self.nvars, self._combine(other, 1))
 

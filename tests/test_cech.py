@@ -16,10 +16,10 @@ from cotci.cech import (
     mul_dpoly_matrix,
     mul_poly_matrix,
 )
-from cotci.exactalg import QQ, SparseMatrix, SubspaceBasis, apply_to_basis, rank
+from cotci.exactalg import QQ, SubspaceBasis, apply_to_basis, rank
 from cotci.poly import HomogPoly, compositions, parse_poly
 from cotci.rng import SplitMix64
-from test_exactalg import entries
+from test_exactalg import checked, entries
 from test_poly import random_homog
 
 
@@ -230,7 +230,7 @@ def test_shift_tables_increase_in_row_and_column():
 
 
 def test_rule_built_matrices_pass_the_checked_constructor_unchanged():
-    # the invariant `SparseMatrix._adopt` relies on: no key twice,
+    # the invariant the `SparseMatrix` constructor relies on: no key twice,
     # normalized nonzero values at in-range keys, so the checked constructor
     # changes nothing, not even a value's type or the entry order
     def listed(m):
@@ -239,8 +239,7 @@ def test_rule_built_matrices_pass_the_checked_constructor_unchanged():
     for cm, _ in _rule_built_maps():
         m = cm.matrix
         assert len(set(zip(m.rows, m.cols))) == m.nnz()
-        checked = SparseMatrix(QQ, m.nrows, m.ncols, entries(m))
-        assert listed(checked) == listed(m)
+        assert listed(checked(QQ, m.nrows, m.ncols, entries(m))) == listed(m)
         # a restriction holds each key once too; an integral value of it
         # may stay a Fraction, which `_field_row` reads as its integer
         vectors = [{c: 1 + c % 3 for c in range(j, m.ncols, 5)} for j in range(3)]

@@ -415,23 +415,29 @@ def test_avec_must_be_five_distinct_values(command, avec, why, capsys, tmp_path)
     assert not out.exists()
 
 
-# cohomology reads --avec only for the deformed pair of --alpha/--beta, and
-# --seed only for the random coefficients the deformed pair replaces
+# cohomology reads --avec only for the deformed pair of --alpha/--beta,
+# --seed only for the random coefficients the deformed pair replaces, and
+# neither --ell nor --tilde with a --setting, which gives both
+SETTING = ["--setting", "(N=4; e=5,5; L0=; L1=; L2=2)"]
 UNREAD_FLAGS = [
-    (["--avec", "1,1"], "error: --avec is read only with --alpha/--beta"),
-    (["--alpha", "1,2", "--seed", "3"],
+    (["--ell", "2", "--avec", "1,1"], "error: --avec is read only with --alpha/--beta"),
+    (["--ell", "2", "--alpha", "1,2", "--seed", "3"],
      "error: --seed is not read with --alpha/--beta: the deformed pair is fixed"),
-    (["--beta", "3,5", "--seed", "3"],
+    (["--ell", "2", "--beta", "3,5", "--seed", "3"],
      "error: --seed is not read with --alpha/--beta: the deformed pair is fixed"),
+    (["--ell", "2", *SETTING],
+     "error: --ell is not read with --setting: the setting gives the exponents"),
+    ([*SETTING, "--tilde"], "error: --tilde is not read with --setting: a setting is always tilde"),
 ]
 
 
 @pytest.mark.parametrize(
-    "flags, line", UNREAD_FLAGS, ids=["avec", "alpha-seed", "beta-seed"]
+    "flags, line", UNREAD_FLAGS,
+    ids=["avec", "alpha-seed", "beta-seed", "setting-ell", "setting-tilde"],
 )
 def test_cohomology_flags_its_construction_does_not_read_exit_1(flags, line, capsys, tmp_path):
     out = tmp_path / "r.json"
-    args = ["cohomology", "--N", "4", "--c", "2", "--e", "5", "--ell", "2", *flags]
+    args = ["cohomology", "--N", "4", "--c", "2", "--e", "5", *flags]
     assert cli.main([*args, "--out", str(out)]) == 1
     assert capsys.readouterr().err.strip().splitlines() == [line]
     assert not out.exists()
@@ -528,7 +534,7 @@ def test_witness_membership_failure_exits_2(monkeypatch, capsys, tmp_path):
     # a failed witness has no report the schema admits
     import cotci.ci_engine as eng
 
-    def boom(setting, a, P, coeff_rows=None):
+    def boom(setting, a, P):
         raise eng.VerificationError("forced failure")
 
     monkeypatch.setattr(eng, "nonvanishing_witness", boom)

@@ -99,13 +99,13 @@ def test_build_B_zero_column_and_rank():
     sys_ = random_fermat_system(3, 2, 1, 5, seed=4)
     grid = letter_grid(sys_)
     z = [0, 2, 3]
-    B = build_B(grid, z)
+    B = build_B(grid, z, QQ)
     assert all(row[0] == 0 for row in B)  # z_1 = 0 kills column 1
     zgen = [Fraction(2), Fraction(3), Fraction(5)]
-    m = SparseMatrix.from_rows(QQ, build_B(grid, zgen))
+    m = SparseMatrix.from_rows(QQ, build_B(grid, zgen, QQ))
     assert rank(m) == 2
     with pytest.raises(FermatError):
-        build_Bprime(grid, zgen, [0, 0, 0])
+        build_Bprime(grid, zgen, [0, 0, 0], QQ)
 
 
 def test_equation_expansion():
@@ -185,7 +185,7 @@ def test_kernel_membership_epsilon_zero_matches_witness():
     P = constant(HomogPoly, 5, 1)
     assert verify_kernel_membership(sys_, (1, 2), P, 0)
     setting = lam.LambdaSetting(4, (5, 5), ((), (), (2,)))
-    res = nonvanishing_witness(setting, 0, P, coeff_rows=rows)
+    res = nonvanishing_witness(setting, 0, P)
     assert res.nonzero
     # identical residue class in both constructions
     (el,) = res.cls.coeffs
@@ -298,7 +298,7 @@ def test_vanishes_on_pair_needs_z_i_or_xi_i_in_every_term(N):
         assert not vanishes_on_pair(form(mono(i, others=True)), i)
         assert not vanishes_on_pair(form(mono(i, z=True), mono(i, others=True)), i)
         assert not vanishes_on_pair(form(mono(i, xi=True), mono(i, others=True)), i)
-    assert vanishes_on_pair(AffinePoly.zero(2 * N), 1)
+    assert vanishes_on_pair(AffinePoly(2 * N, {}), 1)
 
 
 def test_affine_form_alternating():
@@ -479,7 +479,7 @@ def test_common_zeros_match_pointwise_evaluation(N, p):
     polys.append(polys[0] * AffinePoly(N, {(0,) * N: Fraction(1, 2)}) + polys[1])
     polys.append(polys[0].scaled(p))
     field = PrimeField(p)
-    for chosen in ([polys[0]], polys[:2], polys[2:], [AffinePoly.zero(N)]):
+    for chosen in ([polys[0]], polys[:2], polys[2:], [AffinePoly(N, {})]):
         expected = [
             z for z in itertools.product(range(p), repeat=N)
             if not any(f.evaluate(z, field) for f in chosen)
@@ -509,10 +509,10 @@ def test_fp_qq_classification_coherence():
     for _ in range(10):
         z = [rng.randint(1, 9) for _ in range(3)]
         xi = [rng.randint(1, 9) for _ in range(3)]
-        Bq = SparseMatrix.from_rows(QQ, build_B(grid, z))
+        Bq = SparseMatrix.from_rows(QQ, build_B(grid, z, QQ))
         Bp = SparseMatrix.from_rows(big, build_B(grid, z, big))
         assert rank(Bq) == rank(Bp)
-        Sq = SparseMatrix.from_rows(QQ, build_B(grid, z) + build_Bprime(grid, z, xi))
+        Sq = SparseMatrix.from_rows(QQ, build_B(grid, z, QQ) + build_Bprime(grid, z, xi, QQ))
         Sp = SparseMatrix.from_rows(
             big, build_B(grid, z, big) + build_Bprime(grid, z, xi, big)
         )
